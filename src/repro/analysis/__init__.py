@@ -15,9 +15,10 @@ makes the discipline machine-checked:
   plus generic hygiene rules.
 
 * **yancsan** (:mod:`repro.analysis.sanitizer`) is an opt-in runtime
-  sanitizer (``YANCSAN=1``) wrapping the VFS to catch fd leaks, writes that
-  dodge close-time validation, notify events inconsistent with the
-  mutations that produced them, and flow-commit protocol violations.
+  sanitizer (``YANCSAN=1``) subscribed to the VFS tracepoints
+  (:mod:`repro.vfs.trace`) to catch fd leaks, writes that dodge
+  close-time validation, notify events inconsistent with the mutations
+  that produced them, and flow-commit protocol violations.
 
 * **yancrace** (:mod:`repro.analysis.race`) is an opt-in happens-before
   race detector (``YANCRACE=1``, or ``python -m repro.analysis race

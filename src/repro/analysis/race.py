@@ -58,25 +58,22 @@ Findings can be suppressed at either involved source line with
 
 from __future__ import annotations
 
+import functools
 import linecache
-import os
-import sys
 from collections import deque
 from dataclasses import dataclass
 
+from repro.analysis.checkers import EnvChecker, call_site
 from repro.analysis.core import comment_suppresses, register_suppression_tool
 from repro.analysis.hb import Actor, VectorClock
-from repro.analysis.sanitizer import _FLOW_SPEC_NAMES
+from repro.analysis.sanitizer import _FLOW_SPEC_NAMES, current_version
 from repro.vfs.errors import FsError
 from repro.vfs.inode import FileInode
-from repro.vfs.syscalls import O_RDONLY, O_TRUNC, Syscalls
+from repro.vfs.syscalls import O_TRUNC, Syscalls
+from repro.vfs.trace import Hook, Subscriber, attached
 from repro.yancfs.schema import CountersDir, FlowNode
 
 register_suppression_tool("yancrace")
-
-#: Frames whose filename matches one of these are substrate plumbing; the
-#: reported syscall site is the first frame outside them (app/test code).
-_INFRA_MARKERS = ("/repro/vfs/", "/repro/analysis/", "/repro/yancfs/", "/repro/libyanc/")
 
 #: Bounded per-inode access history (like TSan's shadow cells): old
 #: accesses age out, trading missed ancient races for bounded memory.
@@ -136,19 +133,6 @@ class _PendingSpec:
     version: int
 
 
-def _call_site() -> str:
-    """``file:line`` of the nearest non-substrate frame (the app's site)."""
-    frame = sys._getframe(1)
-    for _ in range(40):
-        if frame is None:
-            break
-        filename = frame.f_code.co_filename.replace("\\", "/")
-        if not any(marker in filename for marker in _INFRA_MARKERS):
-            return f"{frame.f_code.co_filename}:{frame.f_lineno}"
-        frame = frame.f_back
-    return "<unknown>"
-
-
 def _site_suppressed(kind: str, *sites: str) -> bool:
     """True when any involved source line carries a disable comment."""
     for site in sites:
@@ -164,17 +148,7 @@ def _site_suppressed(kind: str, *sites: str) -> bool:
     return False
 
 
-def _current_version(flow: FlowNode) -> int:
-    node = flow._children.get("version")
-    if not isinstance(node, FileInode):
-        return 0
-    try:
-        return int(node.read_all().decode(errors="replace").strip() or "0", 0)
-    except ValueError:
-        return 0
-
-
-class RaceDetector:
+class RaceDetector(Subscriber):
     """Collects ordering findings between :meth:`reset` and :meth:`check`."""
 
     def __init__(self, *, history: int = DEFAULT_HISTORY) -> None:
@@ -199,20 +173,49 @@ class RaceDetector:
         self._seen: set[tuple] = set()
         self._barrier = VectorClock()
         self._barrier_epoch = 0
+        # -- execution context --
+        #: The Syscalls currently inside a traced call (or the process
+        #: scope of a dispatch/guarded run); emissions attribute here.
+        self._current: Syscalls | None = None
+        #: (id(sc), fd) -> (inode, path): which file each tracked fd names.
+        self._fd_files: dict[tuple[int, int], tuple[FileInode, str]] = {}
+        #: Scheduling-edge scopes: creation-time (clock, merged) snapshots,
+        #: pushed for the duration of a guarded Process task run.
+        self._origin_stack: list = []
+        #: In-flight RPC calls: (sender, snapshot, responders, merged).
+        self._rpc_stack: list = []
+        #: Simulator.run nesting depth: 0 means the harness is executing.
+        self._run_depth = 0
 
     # -- lifecycle -----------------------------------------------------------------
 
-    def install(self) -> "RaceDetector":
-        """Start observing; idempotent per detector."""
-        _patch_once()
-        if self not in _DETECTORS:
-            _DETECTORS.append(self)
-        return self
-
-    def uninstall(self) -> None:
-        """Stop observing (the monkeypatches stay, but become no-ops)."""
-        if self in _DETECTORS:
-            _DETECTORS.remove(self)
+    def tracepoints(self) -> dict[str, Hook]:
+        hooks = {f"Syscalls.{name}": self._scoped() for name in _SCOPED}
+        read = functools.partial(self._fd_access, write=False)
+        write = functools.partial(self._fd_access, write=True)
+        hooks.update(
+            {
+                "Syscalls.open": self._scoped(self._opened),
+                "Syscalls.close": Hook(self._closing, self._closed),
+                "Syscalls.read": self._scoped(read),
+                "Syscalls.pread": self._scoped(read),
+                "Syscalls.write": self._scoped(write),
+                "Syscalls.pwrite": self._scoped(write),
+                "Syscalls.ftruncate": self._scoped(write),
+                "Syscalls.truncate": self._scoped(self._truncated),
+                "Syscalls.rename": self._scoped(self._renamed),
+                "Syscalls.inotify_read": self._scoped(self._inotify_drained),
+                "Syscalls.epoll_wait": self._scoped(self._epoll_waited),
+                "Syscalls.spawn": Hook(exit=self._spawned),
+                "Process._guarded": Hook(exit=self._scheduled),
+                "Process._dispatch": Hook(self._dispatching, self._restore_scope),
+                "Simulator.run": Hook(self._run_entered, self._run_left),
+                "Simulator.run_until": Hook(self._run_entered, self._run_left),
+                "Inotify._deliver": Hook(enter=self._delivered),
+                "RpcChannel.call": Hook(self._rpc_send, self._rpc_recv),
+            }
+        )
+        return hooks
 
     def reset(self) -> None:
         """Drop all recorded state, e.g. between tests."""
@@ -226,9 +229,8 @@ class RaceDetector:
         self._seen.clear()
         self._barrier = VectorClock()
         self._barrier_epoch = 0
-        # The fd map is execution-context shared by all detectors; between
-        # runs every tracked fd table is dead anyway.
-        _FD_FILES.clear()
+        # Between runs every tracked fd table is dead anyway.
+        self._fd_files.clear()
 
     def check(self) -> list[RaceFinding]:
         """All findings, including teardown-only ones (torn commits)."""
@@ -309,12 +311,19 @@ class RaceDetector:
         """
         if previous is not None:
             return self._actor_for(previous)
-        if _RUN_DEPTH == 0:
+        if self._run_depth == 0:
             return self._harness_actor()
         return None
 
-    def _on_syscall_enter(self, sc: Syscalls, previous: "Syscalls | None") -> Actor:
-        """Per-syscall prologue: resolve the actor, apply scope edges."""
+    # -- tracepoint hooks: scope ------------------------------------------------------
+
+    def _enter(self, sc: Syscalls, _args: tuple) -> "Syscalls | None":
+        """Per-syscall prologue: make ``sc`` current, apply scope edges.
+
+        Returns the previous scope, which :meth:`_leave` restores.
+        """
+        previous = self._current
+        self._current = sc
         actor = self._actor_for(sc)
         # Synchronous-call edge, caller -> callee: when one context drives
         # another's syscalls in its own control flow (the harness using a
@@ -323,91 +332,173 @@ class RaceDetector:
         caller = self._caller_actor(previous)
         if caller is not None and caller is not actor:
             actor.clock.merge(caller.clock)
-        if _ORIGIN_STACK:
-            origin = _ORIGIN_STACK[-1].get(id(self))
-            if origin is not None:
-                clock, merged = origin
-                if actor.aid not in merged:
-                    actor.clock.merge(clock)
-                    merged.add(actor.aid)
-        if _RPC_STACK:
-            state = _RPC_STACK[-1].get(id(self))
-            if state is not None:
-                sender, snap, responders, merged = state
-                if actor is not sender and actor.aid not in merged:
-                    if snap is not None:
-                        actor.clock.merge(snap)
-                    merged.add(actor.aid)
-                    responders.append(actor)
-        return actor
+        origin = self._origin_stack[-1] if self._origin_stack else None
+        if origin is not None:
+            clock, merged = origin
+            if actor.aid not in merged:
+                actor.clock.merge(clock)
+                merged.add(actor.aid)
+        if self._rpc_stack:
+            sender, snap, responders, merged = self._rpc_stack[-1]
+            if actor is not sender and actor.aid not in merged:
+                if snap is not None:
+                    actor.clock.merge(snap)
+                merged.add(actor.aid)
+                responders.append(actor)
+        return previous
 
-    def _on_syscall_leave(self, sc: Syscalls, previous: "Syscalls | None") -> None:
+    def _leave(self, sc: Syscalls, previous: "Syscalls | None") -> None:
         """Per-syscall epilogue: callee -> caller, the return edge of a
         synchronous call (the caller resumes having observed its effects)."""
+        self._current = previous
         actor = self._actor_for(sc)
         caller = self._caller_actor(previous)
         if caller is not None and caller is not actor:
             caller.clock.merge(actor.clock)
 
-    def _snapshot_scope(self):
-        """Clock captured at task-creation time (the scheduling edge)."""
-        if _CURRENT_SC is None:
-            return None
-        return (self._actor_for(_CURRENT_SC).clock.snapshot(), set())
+    def _dispatching(self, proc, _args: tuple) -> "Syscalls | None":
+        previous = self._current
+        if proc.sc is not None:
+            self._current = proc.sc
+        return previous
 
-    def _rpc_send_state(self):
-        if _CURRENT_SC is None:
-            return (None, None, [], set())
-        sender = self._actor_for(_CURRENT_SC)
-        return (sender, sender.clock.snapshot(), [], set())
+    def _restore_scope(self, _proc, _args: tuple, _result: object, _error: object, previous: "Syscalls | None") -> None:
+        self._current = previous
 
-    def _rpc_recv_state(self, state) -> None:
-        sender, _snap, responders, _merged = state
+    def _scheduled(self, proc, _args: tuple, run, error: object, _token: None):
+        """The scheduling edge: capture the creating scope's clock now so
+        the eventual run (cron job, periodic task, one-shot) acquires it."""
+        if error is not None:
+            return run
+        origin = None if self._current is None else (self._actor_for(self._current).clock.snapshot(), set())
+
+        def guarded_run() -> None:
+            if not attached(self):
+                return run()
+            previous = self._dispatching(proc, ())
+            self._origin_stack.append(origin)
+            try:
+                return run()
+            finally:
+                self._origin_stack.pop()
+                self._current = previous
+
+        return guarded_run
+
+    def _run_entered(self, _sim, _args: tuple) -> None:
+        self.publish_barrier()
+        self._run_depth += 1
+
+    def _run_left(self, _sim, _args: tuple, _result: object, _error: object, _token: None) -> None:
+        self._run_depth -= 1
+        self.publish_barrier()
+
+    def _rpc_send(self, _channel, _args: tuple) -> None:
+        """A call releases the sender's clock to whoever handles it."""
+        if self._current is None:
+            self._rpc_stack.append((None, None, [], set()))
+            return
+        sender = self._actor_for(self._current)
+        self._rpc_stack.append((sender, sender.clock.snapshot(), [], set()))
+
+    def _rpc_recv(self, _channel, _args: tuple, _result: object, _error: object, _token: None) -> None:
+        """The reply releases the handlers' clocks back to the sender."""
+        sender, _snap, responders, _merged = self._rpc_stack.pop()
         if sender is None:
             return
         for responder in responders:
             sender.clock.merge(responder.clock)
 
-    def _cancel_pending(self, sc: Syscalls, inode: FileInode) -> None:
-        """A spec write was rolled back (validation failure on close)."""
-        actor = self._actor_for(sc)
-        for parent, _name in inode.dentries:
-            if isinstance(parent, FlowNode):
-                self._pending.pop((id(parent), actor.aid), None)
-
-    def _note_publish(self, sc: Syscalls, node: object) -> None:
-        """rename target: record the publisher's clock on the object."""
-        entry = self._published.get(id(node))
-        if entry is None:
-            entry = (node, VectorClock())
-            self._published[id(node)] = entry
-        entry[1].merge(self._actor_for(sc).clock)
-
-    def _on_spawn(self, parent_sc: Syscalls, child_sc: Syscalls) -> None:
+    def _spawned(self, parent_sc: Syscalls, _args: tuple, child_sc: Syscalls, error: object, _token: None) -> None:
         """fork(2) edge: the child starts with the parent's clock."""
-        self._actor_for(child_sc).clock.merge(self._actor_for(parent_sc).clock)
+        if error is None:
+            self._actor_for(child_sc).clock.merge(self._actor_for(parent_sc).clock)
 
-    def _note_delivery(self, instance: object) -> None:
+    def _delivered(self, instance: object, _args: tuple) -> None:
         """An event was delivered (or coalesced) into an inotify queue."""
-        if _CURRENT_SC is None:
+        if self._current is None:
             return
-        actor = self._actor_for(_CURRENT_SC)
+        actor = self._actor_for(self._current)
         entry = self._inbox.get(id(instance))
         if entry is None:
             entry = (instance, VectorClock())
             self._inbox[id(instance)] = entry
         entry[1].merge(actor.clock)
 
-    def _acquire_instance(self, sc: Syscalls, instance: object) -> None:
+    # -- tracepoint hooks: accesses ---------------------------------------------------
+
+    def _scoped(self, after=None) -> Hook:
+        """A syscall scope (:meth:`_enter`/:meth:`_leave`); ``after(sc,
+        args, result)`` runs inside it once the call has succeeded."""
+
+        def exit_(sc: Syscalls, args: tuple, result: object, error: object, previous: "Syscalls | None") -> None:
+            try:
+                if after is not None and error is None:
+                    after(sc, args, result)
+            finally:
+                self._leave(sc, previous)
+
+        return Hook(self._enter, exit_)
+
+    def _opened(self, sc: Syscalls, args: tuple, fd: int) -> None:
+        path, flags, _mode = args
+        handle = sc._fds.get(fd)
+        if handle is not None and isinstance(handle.inode, FileInode):
+            abspath = sc._abspath(path)
+            self._fd_files[(id(sc), fd)] = (handle.inode, abspath)
+            if flags & O_TRUNC and handle.writable:
+                self._record_access(sc, handle.inode, abspath, write=True)
+
+    def _closing(self, sc: Syscalls, args: tuple):
+        return self._enter(sc, args), self._fd_files.pop((id(sc), args[0]), None)
+
+    def _closed(self, sc: Syscalls, _args: tuple, _result: None, error: object, token) -> None:
+        previous, entry = token
+        if isinstance(error, FsError) and entry is not None:
+            # close-time validation rejected the write and rolled the file
+            # back: the spec change never became durable, so it cannot owe
+            # a version increment.
+            actor = self._actor_for(sc)
+            for parent, _name in entry[0].dentries:
+                if isinstance(parent, FlowNode):
+                    self._pending.pop((id(parent), actor.aid), None)
+        self._leave(sc, previous)
+
+    def _fd_access(self, sc: Syscalls, args: tuple, _result: object, *, write: bool) -> None:
+        entry = self._fd_files.get((id(sc), args[0]))
+        if entry is not None:
+            self._record_access(sc, entry[0], entry[1], write=write)
+
+    def _truncated(self, sc: Syscalls, args: tuple, _result: None) -> None:
+        abspath = sc._abspath(args[0])
+        inode = sc.vfs.resolve(sc.ns, sc.cred, abspath)
+        if isinstance(inode, FileInode):
+            self._record_access(sc, inode, abspath, write=True)
+
+    def _renamed(self, sc: Syscalls, args: tuple, _result: None) -> None:
+        # rename is the atomic-publish operation (maildir): record the
+        # publisher's clock on the target so later accesses through the
+        # new name acquire everything done before publication.
+        try:
+            node = sc.vfs.resolve(sc.ns, sc.cred, sc._abspath(args[1]))
+        except FsError:
+            return
+        entry = self._published.get(id(node))
+        if entry is None:
+            entry = (node, VectorClock())
+            self._published[id(node)] = entry
+        entry[1].merge(self._actor_for(sc).clock)
+
+    def _inotify_drained(self, sc: Syscalls, args: tuple, _events: object) -> None:
         """inotify_read: the reader acquires its emitters' clocks."""
-        entry = self._inbox.get(id(instance))
+        entry = self._inbox.get(id(args[0]))
         if entry is not None:
             self._actor_for(sc).clock.merge(entry[1])
 
-    def _acquire_ready(self, sc: Syscalls, ep: object) -> None:
+    def _epoll_waited(self, sc: Syscalls, args: tuple, _ready: object) -> None:
         """epoll_wait: acquire the clock of every ready descriptor."""
         actor = self._actor_for(sc)
-        for pollable in ep.pollables():
+        for pollable in args[0].pollables():
             if not pollable.readable():
                 continue
             entry = self._inbox.get(id(pollable))
@@ -457,10 +548,10 @@ class RaceDetector:
             if actor.clock.covers(access.actor.aid, access.tick):
                 continue
             if site is None:
-                site = _call_site()
+                site = call_site()
             self._report_race(actor, access, path, site, write)
         if site is None:
-            site = _call_site()
+            site = call_site()
         tick = actor.clock.tick(actor.aid)
         last = hist[-1] if hist else None
         if last is not None and last.actor is actor and last.write == write:
@@ -518,10 +609,10 @@ class RaceDetector:
         if not (fname in _FLOW_SPEC_NAMES or fname.startswith(("match.", "action."))):
             return
         if write:
-            if _current_version(flow) > 0:
+            if current_version(flow) > 0:
                 self._pending.setdefault(
                     (id(flow), actor.aid),
-                    _PendingSpec(flow, fname, path, site, actor, tick, _current_version(flow)),
+                    _PendingSpec(flow, fname, path, site, actor, tick, current_version(flow)),
                 )
             return
         for (fid, aid), pend in self._pending.items():
@@ -553,386 +644,17 @@ class RaceDetector:
             )
 
 
-# -- module-level execution context and patching ----------------------------------
-
-#: Active detectors; the patched choke points fan out to each of these.
-_DETECTORS: list[RaceDetector] = []
-#: The Syscalls instance currently inside a patched call (or the process
-#: scope established by a dispatch/guarded run); emissions attribute here.
-_CURRENT_SC: Syscalls | None = None
-#: (id(sc), fd) -> (inode, path): which file each tracked descriptor names.
-_FD_FILES: dict[tuple[int, int], tuple[FileInode, str]] = {}
-#: Scheduling-edge scopes: per-detector creation-time clock snapshots,
-#: pushed for the duration of a guarded Process task run.
-_ORIGIN_STACK: list[dict] = []
-#: In-flight RPC calls: per-detector (sender, snapshot, responders, merged).
-_RPC_STACK: list[dict] = []
-#: Simulator.run nesting depth: 0 means the harness itself is executing.
-_RUN_DEPTH = 0
-_patched = False
-
-
-def _enter(sc: Syscalls) -> "Syscalls | None":
-    global _CURRENT_SC
-    previous = _CURRENT_SC
-    _CURRENT_SC = sc
-    for det in _DETECTORS:
-        det._on_syscall_enter(sc, previous)
-    return previous
-
-
-def _leave(sc: Syscalls, previous: "Syscalls | None") -> None:
-    global _CURRENT_SC
-    _CURRENT_SC = previous
-    for det in _DETECTORS:
-        det._on_syscall_leave(sc, previous)
-
-
-def _patch_once() -> None:
-    global _patched
-    if _patched:
-        return
-    _patched = True
-
-    from repro.distfs import rpc as rpc_mod
-    from repro.proc.process import Process
-    from repro.sim.clock import Simulator
-    from repro.vfs import notify as notify_mod
-
-    orig_open = Syscalls.open
-    orig_close = Syscalls.close
-    orig_read = Syscalls.read
-    orig_write = Syscalls.write
-    orig_pread = Syscalls.pread
-    orig_pwrite = Syscalls.pwrite
-    orig_ftruncate = Syscalls.ftruncate
-    orig_truncate = Syscalls.truncate
-    orig_inotify_read = Syscalls.inotify_read
-    orig_epoll_wait = Syscalls.epoll_wait
-    orig_spawn = Syscalls.spawn
-    orig_guarded = Process._guarded
-    orig_dispatch = Process._dispatch
-    orig_run = Simulator.run
-    orig_run_until = Simulator.run_until
-
-    def patched_open(self: Syscalls, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> int:
-        if not _DETECTORS:
-            return orig_open(self, path, flags, mode)
-        previous = _enter(self)
-        try:
-            fd = orig_open(self, path, flags, mode)
-            handle = self._fds.get(fd)
-            if handle is not None and isinstance(handle.inode, FileInode):
-                abspath = self._abspath(path)
-                _FD_FILES[(id(self), fd)] = (handle.inode, abspath)
-                if flags & O_TRUNC and handle.writable:
-                    for det in _DETECTORS:
-                        det._record_access(self, handle.inode, abspath, write=True)
-            return fd
-        finally:
-            _leave(self, previous)
-
-    def patched_close(self: Syscalls, fd: int) -> None:
-        if not _DETECTORS:
-            return orig_close(self, fd)
-        previous = _enter(self)
-        entry = _FD_FILES.get((id(self), fd))
-        try:
-            return orig_close(self, fd)
-        except FsError:
-            # close-time validation rejected the write and rolled the file
-            # back: the spec change never became durable, so it cannot owe
-            # a version increment.
-            if entry is not None:
-                for det in _DETECTORS:
-                    det._cancel_pending(self, entry[0])
-            raise
-        finally:
-            _FD_FILES.pop((id(self), fd), None)
-            _leave(self, previous)
-
-    def _fd_access(sc: Syscalls, fd: int, *, write: bool) -> None:
-        entry = _FD_FILES.get((id(sc), fd))
-        if entry is not None:
-            for det in _DETECTORS:
-                det._record_access(sc, entry[0], entry[1], write=write)
-
-    def patched_read(self: Syscalls, fd: int, size: int = -1) -> bytes:
-        if not _DETECTORS:
-            return orig_read(self, fd, size)
-        previous = _enter(self)
-        try:
-            data = orig_read(self, fd, size)
-            _fd_access(self, fd, write=False)
-            return data
-        finally:
-            _leave(self, previous)
-
-    def patched_write(self: Syscalls, fd: int, data: bytes) -> int:
-        if not _DETECTORS:
-            return orig_write(self, fd, data)
-        previous = _enter(self)
-        try:
-            result = orig_write(self, fd, data)
-            _fd_access(self, fd, write=True)
-            return result
-        finally:
-            _leave(self, previous)
-
-    def patched_pread(self: Syscalls, fd: int, size: int, offset: int) -> bytes:
-        if not _DETECTORS:
-            return orig_pread(self, fd, size, offset)
-        previous = _enter(self)
-        try:
-            data = orig_pread(self, fd, size, offset)
-            _fd_access(self, fd, write=False)
-            return data
-        finally:
-            _leave(self, previous)
-
-    def patched_pwrite(self: Syscalls, fd: int, data: bytes, offset: int) -> int:
-        if not _DETECTORS:
-            return orig_pwrite(self, fd, data, offset)
-        previous = _enter(self)
-        try:
-            result = orig_pwrite(self, fd, data, offset)
-            _fd_access(self, fd, write=True)
-            return result
-        finally:
-            _leave(self, previous)
-
-    def patched_ftruncate(self: Syscalls, fd: int, size: int) -> None:
-        if not _DETECTORS:
-            return orig_ftruncate(self, fd, size)
-        previous = _enter(self)
-        try:
-            orig_ftruncate(self, fd, size)
-            _fd_access(self, fd, write=True)
-        finally:
-            _leave(self, previous)
-
-    def patched_truncate(self: Syscalls, path: str, size: int) -> None:
-        if not _DETECTORS:
-            return orig_truncate(self, path, size)
-        previous = _enter(self)
-        try:
-            orig_truncate(self, path, size)
-            abspath = self._abspath(path)
-            inode = self.vfs.resolve(self.ns, self.cred, abspath)
-            if isinstance(inode, FileInode):
-                for det in _DETECTORS:
-                    det._record_access(self, inode, abspath, write=True)
-        finally:
-            _leave(self, previous)
-
-    def patched_inotify_read(self: Syscalls, instance):
-        if not _DETECTORS:
-            return orig_inotify_read(self, instance)
-        previous = _enter(self)
-        try:
-            events = orig_inotify_read(self, instance)
-            for det in _DETECTORS:
-                det._acquire_instance(self, instance)
-            return events
-        finally:
-            _leave(self, previous)
-
-    def patched_epoll_wait(self: Syscalls, ep):
-        if not _DETECTORS:
-            return orig_epoll_wait(self, ep)
-        previous = _enter(self)
-        try:
-            ready = orig_epoll_wait(self, ep)
-            for det in _DETECTORS:
-                det._acquire_ready(self, ep)
-            return ready
-        finally:
-            _leave(self, previous)
-
-    orig_rename = Syscalls.rename
-
-    def patched_rename(self: Syscalls, old: str, new: str):
-        if not _DETECTORS:
-            return orig_rename(self, old, new)
-        previous = _enter(self)
-        try:
-            result = orig_rename(self, old, new)
-            # rename is the atomic-publish operation (maildir): record the
-            # publisher's clock on the target so later accesses through
-            # the new name acquire everything done before publication.
-            try:
-                node = self.vfs.resolve(self.ns, self.cred, self._abspath(new))
-            except FsError:
-                node = None
-            if node is not None:
-                for det in _DETECTORS:
-                    det._note_publish(self, node)
-            return result
-        finally:
-            _leave(self, previous)
-
-    def patched_spawn(self: Syscalls, **kwargs):
-        child = orig_spawn(self, **kwargs)
-        for det in _DETECTORS:
-            det._on_spawn(self, child)
-        return child
-
-    def patched_guarded(self: Process, fn):
-        run = orig_guarded(self, fn)
-        # The scheduling edge: capture the creating scope's clock now so
-        # the eventual run (cron job, periodic task, one-shot) acquires it.
-        origins = {id(det): det._snapshot_scope() for det in _DETECTORS}
-
-        def guarded_run() -> None:
-            if not _DETECTORS:
-                return run()
-            global _CURRENT_SC
-            previous = _CURRENT_SC
-            if self.sc is not None:
-                _CURRENT_SC = self.sc
-            _ORIGIN_STACK.append(origins)
-            try:
-                return run()
-            finally:
-                _ORIGIN_STACK.pop()
-                _CURRENT_SC = previous
-
-        return guarded_run
-
-    def patched_dispatch(self: Process) -> None:
-        if not _DETECTORS:
-            return orig_dispatch(self)
-        global _CURRENT_SC
-        previous = _CURRENT_SC
-        if self.sc is not None:
-            _CURRENT_SC = self.sc
-        try:
-            return orig_dispatch(self)
-        finally:
-            _CURRENT_SC = previous
-
-    def patched_run(self: Simulator, max_events: int = 1_000_000) -> int:
-        if not _DETECTORS:
-            return orig_run(self, max_events)
-        global _RUN_DEPTH
-        for det in _DETECTORS:
-            det.publish_barrier()
-        _RUN_DEPTH += 1
-        try:
-            return orig_run(self, max_events)
-        finally:
-            _RUN_DEPTH -= 1
-            for det in _DETECTORS:
-                det.publish_barrier()
-
-    def patched_run_until(self: Simulator, deadline: float, max_events: int = 1_000_000) -> int:
-        if not _DETECTORS:
-            return orig_run_until(self, deadline, max_events)
-        global _RUN_DEPTH
-        for det in _DETECTORS:
-            det.publish_barrier()
-        _RUN_DEPTH += 1
-        try:
-            return orig_run_until(self, deadline, max_events)
-        finally:
-            _RUN_DEPTH -= 1
-            for det in _DETECTORS:
-                det.publish_barrier()
-
-    def notify_tap(instance, _event) -> None:
-        if not _DETECTORS or _CURRENT_SC is None:
-            return
-        for det in _DETECTORS:
-            det._note_delivery(instance)
-
-    def rpc_tap(phase: str, _channel) -> None:
-        if phase == "send":
-            _RPC_STACK.append({id(det): det._rpc_send_state() for det in _DETECTORS})
-        elif _RPC_STACK:
-            frame = _RPC_STACK.pop()
-            for det in _DETECTORS:
-                state = frame.get(id(det))
-                if state is not None:
-                    det._rpc_recv_state(state)
-
-    Syscalls.open = patched_open  # type: ignore[method-assign]
-    Syscalls.close = patched_close  # type: ignore[method-assign]
-    Syscalls.read = patched_read  # type: ignore[method-assign]
-    Syscalls.write = patched_write  # type: ignore[method-assign]
-    Syscalls.pread = patched_pread  # type: ignore[method-assign]
-    Syscalls.pwrite = patched_pwrite  # type: ignore[method-assign]
-    Syscalls.ftruncate = patched_ftruncate  # type: ignore[method-assign]
-    Syscalls.truncate = patched_truncate  # type: ignore[method-assign]
-    Syscalls.rename = patched_rename  # type: ignore[method-assign]
-    Syscalls.inotify_read = patched_inotify_read  # type: ignore[method-assign]
-    Syscalls.epoll_wait = patched_epoll_wait  # type: ignore[method-assign]
-    Syscalls.spawn = patched_spawn  # type: ignore[method-assign]
-    Process._guarded = patched_guarded  # type: ignore[method-assign]
-    Process._dispatch = patched_dispatch  # type: ignore[method-assign]
-    Simulator.run = patched_run  # type: ignore[method-assign]
-    Simulator.run_until = patched_run_until  # type: ignore[method-assign]
-
-    # Namespace mutators need no shadow record (directory ops are atomic
-    # in the kernel, like a concurrent map), but must set the current
-    # actor so the notify events they emit carry the mutator's clock.
-    for method_name in (
-        "mkdir",
-        "rmdir",
-        "unlink",
-        "symlink",
-        "link",
-        "chmod",
-        "chown",
-        "set_acl",
-        "setxattr",
-        "removexattr",
-    ):
-        orig_method = getattr(Syscalls, method_name)
-
-        def _make_scoped(orig):
-            def patched(self: Syscalls, *args, **kwargs):
-                if not _DETECTORS:
-                    return orig(self, *args, **kwargs)
-                previous = _enter(self)
-                try:
-                    return orig(self, *args, **kwargs)
-                finally:
-                    _leave(self, previous)
-
-            return patched
-
-        setattr(Syscalls, method_name, _make_scoped(orig_method))
-
-    notify_mod.add_delivery_tap(notify_tap)
-    rpc_mod.add_call_tap(rpc_tap)
+#: Syscalls whose only hook sets the current actor: directory ops need no
+#: shadow record (they are atomic in the kernel, like a concurrent map),
+#: but the notify events they emit must carry the mutator's clock.
+_SCOPED = ("mkdir", "rmdir", "unlink", "symlink", "link", "chmod", "chown", "set_acl", "setxattr", "removexattr")
 
 
 # -- environment opt-in ---------------------------------------------------------
 
-_env_detector: RaceDetector | None = None
-
-
-def enabled() -> bool:
-    """True when the YANCRACE environment variable requests the detector."""
-    return os.environ.get("YANCRACE", "") not in ("", "0")
-
-
-def install_from_env() -> RaceDetector | None:
-    """Install the process-wide detector if YANCRACE is set; idempotent."""
-    global _env_detector
-    if not enabled():
-        return None
-    if _env_detector is None:
-        _env_detector = RaceDetector().install()
-    return _env_detector
-
-
-def active() -> RaceDetector | None:
-    """The environment-installed detector, if any."""
-    return _env_detector
-
-
-def reset_all() -> None:
-    """Reset every active detector (test-isolation helper)."""
-    for det in _DETECTORS:
-        det.reset()
+#: The ``YANCRACE`` opt-in; the module-level names are the historical API.
+ENV = EnvChecker("yancrace", "YANCRACE", RaceDetector)
+enabled = ENV.enabled
+install_from_env = ENV.install_from_env
+active = ENV.active
+reset_all = ENV.reset_all

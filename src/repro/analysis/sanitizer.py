@@ -2,7 +2,8 @@
 
 Where yanclint checks source, yancsan checks *executions*.  When enabled
 (``YANCSAN=1`` in the environment, or an explicit :func:`install`), it
-wraps the small number of choke points everything flows through —
+subscribes to the tracepoints (:mod:`repro.vfs.trace`) on the small
+number of choke points everything flows through —
 ``Syscalls.open``/``close``, ``FileInode.set_content``,
 ``FileHandle.close``, ``NotifyHub.emit_dirent`` — and records invariant
 violations instead of raising, so a whole test runs to completion and
@@ -40,13 +41,14 @@ or programmatically::
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
+from repro.analysis.checkers import EnvChecker
 from repro.vfs.errors import InvalidArgument
 from repro.vfs.inode import DirInode, FileInode
 from repro.vfs.notify import EventMask, NotifyHub
 from repro.vfs.syscalls import Syscalls
+from repro.vfs.trace import Hook, Subscriber
 from repro.vfs.vfs import FileHandle
 from repro.yancfs.schema import AttributeFile, FlowNode
 
@@ -65,6 +67,21 @@ class SanFinding:
         return f"yancsan [{self.kind}] {self.detail}"
 
 
+def current_version(flow: FlowNode) -> int:
+    """The flow's committed ``version`` (0 when absent or unparsable)."""
+    node = flow._children.get("version")
+    if not isinstance(node, FileInode):
+        return 0
+    try:
+        return int(node.read_all().decode(errors="replace").strip() or "0", 0)
+    except ValueError:
+        return 0
+
+
+def _open_writable(handle: FileHandle, _args: tuple) -> bool:
+    return not handle.closed and handle.writable
+
+
 @dataclass
 class _PendingCommit:
     flow: FlowNode
@@ -72,7 +89,7 @@ class _PendingCommit:
     detail: str
 
 
-class Sanitizer:
+class Sanitizer(Subscriber):
     """Collects runtime findings between :meth:`reset` and :meth:`check`."""
 
     def __init__(self) -> None:
@@ -88,17 +105,16 @@ class Sanitizer:
 
     # -- lifecycle -----------------------------------------------------------------
 
-    def install(self) -> "Sanitizer":
-        """Start observing; idempotent per sanitizer."""
-        _patch_once()
-        if self not in _SANITIZERS:
-            _SANITIZERS.append(self)
-        return self
-
-    def uninstall(self) -> None:
-        """Stop observing (the monkeypatches stay, but become no-ops)."""
-        if self in _SANITIZERS:
-            _SANITIZERS.remove(self)
+    def tracepoints(self) -> dict[str, Hook]:
+        return {
+            "Syscalls.open": Hook(exit=self._on_open),
+            # Syscalls.close drops the fd before handle.close(), so the
+            # descriptor is gone even when close-time validation raises.
+            "Syscalls.close": Hook(exit=self._on_close_fd),
+            "FileInode.set_content": Hook(enter=self._on_set_content),
+            "FileHandle.close": Hook(enter=_open_writable, exit=self._on_close_write),
+            "NotifyHub.emit_dirent": Hook(enter=self._on_emit_dirent),
+        }
 
     def reset(self) -> None:
         """Drop all recorded state, e.g. between tests."""
@@ -137,15 +153,18 @@ class Sanitizer:
 
     # -- hook callbacks ------------------------------------------------------------
 
-    def _on_open(self, sc: Syscalls, fd: int, path: str) -> None:
+    def _on_open(self, sc: Syscalls, args: tuple, fd: int | None, error: BaseException | None, _token: None) -> None:
+        if error is not None:
+            return
         handle = sc._fds.get(fd)
         if handle is not None:
-            self._open_fds[(id(sc), fd)] = (path, handle)
+            self._open_fds[(id(sc), fd)] = (args[0], handle)
 
-    def _on_close_fd(self, sc: Syscalls, fd: int) -> None:
-        self._open_fds.pop((id(sc), fd), None)
+    def _on_close_fd(self, sc: Syscalls, args: tuple, _result: None, _error: object, _token: None) -> None:
+        self._open_fds.pop((id(sc), args[0]), None)
 
-    def _on_set_content(self, inode: FileInode, data: bytes) -> None:
+    def _on_set_content(self, inode: FileInode, args: tuple) -> None:
+        data = args[0]
         if not isinstance(inode, AttributeFile) or inode.validator is None:
             return
         if bytes(data) == inode._last_valid:
@@ -164,7 +183,9 @@ class Sanitizer:
             return
         self._note_attribute_write(inode, text)
 
-    def _on_close_write(self, handle: FileHandle) -> None:
+    def _on_close_write(self, handle: FileHandle, _args: tuple, _result: None, error: object, was_open_writable: bool) -> None:
+        if error is not None or not was_open_writable:
+            return
         inode = handle.inode
         if isinstance(inode, AttributeFile):
             self._note_attribute_write(inode, inode.read_all().decode(errors="replace"))
@@ -196,7 +217,7 @@ class Sanitizer:
                     self._pending.pop(key, None)
                 self._versions[key] = max(old, new)
             elif name in _FLOW_SPEC_NAMES or name.startswith(("match.", "action.")):
-                version = self._current_version(parent)
+                version = current_version(parent)
                 self._versions.setdefault(key, version)
                 if version > 0 and key not in self._pending:
                     self._pending[key] = _PendingCommit(
@@ -206,7 +227,8 @@ class Sanitizer:
                         "but 'version' was never incremented; the switch will not see it (§3.4)",
                     )
 
-    def _on_emit_dirent(self, parent: object, child: object, mask: int, name: str, cookie: int) -> None:
+    def _on_emit_dirent(self, _hub: NotifyHub, args: tuple) -> None:
+        parent, child, mask, name, cookie = args
         event = EventMask(mask)
         if isinstance(parent, DirInode):
             # Inspect the raw child map: has_child()/lookup() run policy
@@ -241,101 +263,10 @@ class Sanitizer:
                 return flag.name or str(flag)
         return str(event)
 
-    @staticmethod
-    def _current_version(flow: FlowNode) -> int:
-        node = flow._children.get("version")
-        if not isinstance(node, FileInode):
-            return 0
-        try:
-            return int(node.read_all().decode(errors="replace").strip() or "0", 0)
-        except ValueError:
-            return 0
 
-
-# -- module-level patching ------------------------------------------------------
-
-#: Active sanitizers; the patched choke points fan out to each of these.
-_SANITIZERS: list[Sanitizer] = []
-_patched = False
-
-
-def _patch_once() -> None:
-    global _patched
-    if _patched:
-        return
-    _patched = True
-
-    orig_open = Syscalls.open
-    orig_close = Syscalls.close
-    orig_set_content = FileInode.set_content
-    orig_handle_close = FileHandle.close
-    orig_emit_dirent = NotifyHub.emit_dirent
-
-    def patched_open(self: Syscalls, path: str, *args: object, **kwargs: object) -> int:
-        fd = orig_open(self, path, *args, **kwargs)
-        for san in _SANITIZERS:
-            san._on_open(self, fd, path)
-        return fd
-
-    def patched_close(self: Syscalls, fd: int) -> None:
-        try:
-            orig_close(self, fd)
-        finally:
-            # Syscalls.close drops the fd before handle.close(), so the
-            # descriptor is gone even when close-time validation raises.
-            for san in _SANITIZERS:
-                san._on_close_fd(self, fd)
-
-    def patched_set_content(self: FileInode, data: bytes) -> None:
-        for san in _SANITIZERS:
-            san._on_set_content(self, data)
-        orig_set_content(self, data)
-
-    def patched_handle_close(self: FileHandle) -> None:
-        was_open_writable = not self.closed and self.writable
-        orig_handle_close(self)
-        if was_open_writable:
-            for san in _SANITIZERS:
-                san._on_close_write(self)
-
-    def patched_emit_dirent(self: NotifyHub, parent: object, child: object, mask: int, name: str, cookie: int = 0) -> None:
-        for san in _SANITIZERS:
-            san._on_emit_dirent(parent, child, mask, name, cookie)
-        orig_emit_dirent(self, parent, child, mask, name, cookie=cookie)
-
-    Syscalls.open = patched_open  # type: ignore[method-assign]
-    Syscalls.close = patched_close  # type: ignore[method-assign]
-    FileInode.set_content = patched_set_content  # type: ignore[method-assign]
-    FileHandle.close = patched_handle_close  # type: ignore[method-assign]
-    NotifyHub.emit_dirent = patched_emit_dirent  # type: ignore[method-assign]
-
-
-# -- environment opt-in ---------------------------------------------------------
-
-_env_sanitizer: Sanitizer | None = None
-
-
-def enabled() -> bool:
-    """True when the YANCSAN environment variable requests the sanitizer."""
-    return os.environ.get("YANCSAN", "") not in ("", "0")
-
-
-def install_from_env() -> Sanitizer | None:
-    """Install the process-wide sanitizer if YANCSAN is set; idempotent."""
-    global _env_sanitizer
-    if not enabled():
-        return None
-    if _env_sanitizer is None:
-        _env_sanitizer = Sanitizer().install()
-    return _env_sanitizer
-
-
-def active() -> Sanitizer | None:
-    """The environment-installed sanitizer, if any."""
-    return _env_sanitizer
-
-
-def reset_all() -> None:
-    """Reset every active sanitizer (test-isolation helper)."""
-    for san in _SANITIZERS:
-        san.reset()
+#: The ``YANCSAN`` opt-in; the module-level names are the historical API.
+ENV = EnvChecker("yancsan", "YANCSAN", Sanitizer)
+enabled = ENV.enabled
+install_from_env = ENV.install_from_env
+active = ENV.active
+reset_all = ENV.reset_all

@@ -1,19 +1,19 @@
 """The durable-op recorder: yanccrash's dynamic choke-point instrumentation.
 
-Sits at the same class-level monkeypatch seam as yancrace, but records the
-opposite projection of a workload: not *orderings* between accesses but
-the *durable-effect trace* — every operation that changes what a crash
-would leave on disk, in program order, through the ``Syscalls`` choke
-points.  ``write_text``/``makedirs`` decompose into their primitive calls
+Subscribes to the same tracepoints (:mod:`repro.vfs.trace`) as yancrace,
+but records the opposite projection of a workload: not *orderings*
+between accesses but the *durable-effect trace* — every operation that
+changes what a crash would leave on disk, in program order, through the
+``Syscalls`` choke points.  ``write_text``/``makedirs`` decompose into their primitive calls
 inside ``Syscalls`` (``open → write → close``, ``exists + mkdir`` per
 component), so the trace naturally carries every point a crash could
 split a composite operation.  ``IoUring.submit`` dispatches each batched
 entry through the same ``Syscalls`` methods, so batched ops land in the
 trace too; the recorder tags them with a submit-batch id so the explorer
 can label mid-chain sever prefixes.  Direct-store ``libyanc`` mutations
-never cross ``Syscalls`` — those are captured at the ``LibYanc`` method
-layer as synthetic ``fastpath-*`` ops, and ``flush()`` opens a *reorder
-window* around the per-flow commits it performs (the write-behind
+never cross ``Syscalls`` — those are captured at the ``LibYanc``
+tracepoints as synthetic ``fastpath-*`` ops, and ``flush()`` opens a
+*reorder window* around the per-flow commits it performs (the write-behind
 contract orders commits per flow, not across flows, so the explorer may
 legally replay any subset of a window as having reached the store before
 the crash).
@@ -27,16 +27,27 @@ intermediate state it needs from the trace alone.
 
 from __future__ import annotations
 
-import sys
+import functools
 from dataclasses import dataclass
 
-from repro.vfs.syscalls import O_CREAT, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY, Syscalls
-from repro.vfs.uring import IoUring
-
-#: Reported sites skip substrate frames, same as yancrace.
-_INFRA_MARKERS = ("/repro/vfs/", "/repro/analysis/", "/repro/yancfs/", "/repro/libyanc/")
+from repro.analysis.checkers import call_site
+from repro.vfs.syscalls import O_CREAT, O_RDWR, O_TRUNC, O_WRONLY, Syscalls
+from repro.vfs.trace import Hook, Subscriber
+from repro.yancfs.client import flow_spec_files
+from repro.yancfs.schema import YancFs
 
 _WRITE_FLAGS = O_WRONLY | O_RDWR | O_CREAT | O_TRUNC
+
+#: Path-addressed durable primitives -> (leading path arguments recorded
+#: as absolute paths, further arguments recorded as given).
+_PATH_OPS = {
+    "mkdir": (1, 0),
+    "rmdir": (1, 0),
+    "unlink": (1, 0),
+    "truncate": (1, 1),
+    "rename": (2, 0),
+    "link": (2, 0),
+}
 
 
 @dataclass(frozen=True)
@@ -51,309 +62,130 @@ class DurableOp:
     site: str = "<unknown>"
 
 
-def _call_site() -> str:
-    frame = sys._getframe(1)
-    for _ in range(40):
-        if frame is None:
-            break
-        filename = frame.f_code.co_filename.replace("\\", "/")
-        if not any(marker in filename for marker in _INFRA_MARKERS):
-            return f"{frame.f_code.co_filename}:{frame.f_lineno}"
-        frame = frame.f_back
-    return "<unknown>"
-
-
-class CrashRecorder:
+class CrashRecorder(Subscriber):
     """Collects the durable-op trace between :meth:`install` and :meth:`uninstall`."""
 
     def __init__(self, roots: tuple[str, ...] = ("/net", "/var")) -> None:
         self.roots = tuple(roots)
         self.ops: list[DurableOp] = []
+        #: (id(sc), fd) -> absolute path, for write-capable opens under a root.
+        self._fds: dict[tuple[int, int], str] = {}
+        #: id(YancFs) -> mount path, so fastpath ops can be replayed by path.
+        self._mounts: dict[int, str] = {}
+        #: Current uring submit batch / write-behind flush window (None
+        #: outside ``IoUring.submit`` / ``LibYanc.flush``).
+        self._batch: int | None = None
+        self._window: int | None = None
+        self._batches = 0
+        self._windows = 0
 
     def in_scope(self, path: str) -> bool:
         return any(path == root or path.startswith(root + "/") for root in self.roots)
 
-    def record(
-        self, op: str, args: tuple, vfs_id: int, *, batch: int | None = None
-    ) -> None:
-        self.ops.append(
-            DurableOp(
-                op=op,
-                args=args,
-                vfs=vfs_id,
-                batch=batch if batch is not None else _BATCH_ACTIVE,
-                window=_WINDOW_ACTIVE,
-                site=_call_site(),
-            )
-        )
-
-    # -- lifecycle -----------------------------------------------------------------
-
-    def install(self) -> "CrashRecorder":
-        _patch_once()
-        if self not in _RECORDERS:
-            _RECORDERS.append(self)
-        return self
-
-    def uninstall(self) -> None:
-        if self in _RECORDERS:
-            _RECORDERS.remove(self)
+    def record(self, op: str, args: tuple, vfs_id: int) -> None:
+        self.ops.append(DurableOp(op=op, args=args, vfs=vfs_id, batch=self._batch, window=self._window, site=call_site()))
 
     def reset(self) -> None:
         self.ops.clear()
-        _TRACKED_FDS.clear()
+        self._fds.clear()
 
+    # -- tracepoint hooks (successful calls only, except close) ----------------------
 
-#: Active recorders; patched methods are no-ops when empty.
-_RECORDERS: list[CrashRecorder] = []
-#: (id(sc), fd) -> absolute path, for write-capable opens under a root.
-_TRACKED_FDS: dict[tuple[int, int], str] = {}
-#: id(YancFs) -> mount path, so fastpath ops can be replayed by path.
-_FS_MOUNTS: dict[int, str] = {}
-#: Current uring submit batch (None outside IoUring.submit).
-_BATCH_ACTIVE: int | None = None
-_BATCH_SEQ = 0
-#: Current write-behind flush window (None outside LibYanc.flush).
-_WINDOW_ACTIVE: int | None = None
-_WINDOW_SEQ = 0
+    def tracepoints(self) -> dict[str, Hook]:
+        hooks = {f"Syscalls.{op}": Hook(exit=functools.partial(self._path_op, op)) for op in _PATH_OPS}
+        hooks.update(
+            {
+                "Syscalls.open": Hook(exit=self._opened),
+                "Syscalls.write": Hook(exit=functools.partial(self._fd_op, "write")),
+                "Syscalls.pwrite": Hook(exit=functools.partial(self._fd_op, "pwrite")),
+                "Syscalls.ftruncate": Hook(exit=functools.partial(self._fd_op, "ftruncate")),
+                "Syscalls.close": Hook(exit=self._closed),
+                "Syscalls.symlink": Hook(exit=self._symlinked),
+                "Syscalls.mount": Hook(exit=self._mounted),
+                "IoUring.submit": Hook(self._open_batch, self._close_batch),
+                "LibYanc.flush": Hook(self._open_window, self._close_window),
+            }
+        )
+        for op in ("create_flow", "commit_flow", "write_flow_files", "delete_flow"):
+            kind = "fastpath-" + op.split("_")[0]
+            hooks[f"LibYanc.{op}"] = Hook(exit=functools.partial(self._fastpath, kind))
+        return hooks
 
-_patched = False
+    def _opened(self, sc: Syscalls, args: tuple, fd: int | None, error: object, _token: None) -> None:
+        path, flags, _mode = args
+        if error is None and flags & _WRITE_FLAGS:
+            abspath = sc._abspath(path)
+            if self.in_scope(abspath):
+                self._fds[(id(sc), fd)] = abspath
+                self.record("open", (abspath, flags, fd), id(sc.vfs))
 
+    def _fd_op(self, op: str, sc: Syscalls, args: tuple, _result: object, error: object, _token: None) -> None:
+        if error is None and (id(sc), args[0]) in self._fds:
+            if op != "ftruncate":
+                args = (args[0], bytes(args[1])) + args[2:]
+            self.record(op, args, id(sc.vfs))
 
-def _record(op: str, args: tuple, vfs_id: int) -> None:
-    for recorder in _RECORDERS:
-        recorder.record(op, args, vfs_id)
+    def _closed(self, sc: Syscalls, args: tuple, _result: None, _error: object, _token: None) -> None:
+        # Recorded even when close-time validation raises: the replay tree
+        # runs the same validator and rolls back the same way.
+        if self._fds.pop((id(sc), args[0]), None) is not None:
+            self.record("close", args, id(sc.vfs))
 
+    def _path_op(self, op: str, sc: Syscalls, args: tuple, _result: None, error: object, _token: None) -> None:
+        if error is not None:
+            return
+        paths, kept = _PATH_OPS[op]
+        abspaths = tuple(sc._abspath(p) for p in args[:paths])
+        if any(self.in_scope(p) for p in abspaths):
+            self.record(op, abspaths + args[paths : paths + kept], id(sc.vfs))
 
-def _record_path(self: Syscalls, op: str, *paths: str, extra: tuple = ()) -> None:
-    abspaths = tuple(self._abspath(p) for p in paths)
-    for recorder in _RECORDERS:
-        if any(recorder.in_scope(p) for p in abspaths):
-            recorder.record(op, abspaths + extra, id(self.vfs))
+    def _symlinked(self, sc: Syscalls, args: tuple, _result: None, error: object, _token: None) -> None:
+        target, linkpath = args
+        abspath = sc._abspath(linkpath)
+        if error is None and self.in_scope(abspath):
+            self.record("symlink", (target, abspath), id(sc.vfs))
 
-
-def _patch_once() -> None:
-    global _patched
-    if _patched:
-        return
-    _patched = True
-
-    from repro.libyanc.fastpath import LibYanc
-    from repro.yancfs.schema import YancFs
-
-    orig_open = Syscalls.open
-    orig_write = Syscalls.write
-    orig_pwrite = Syscalls.pwrite
-    orig_close = Syscalls.close
-    orig_ftruncate = Syscalls.ftruncate
-    orig_truncate = Syscalls.truncate
-    orig_mkdir = Syscalls.mkdir
-    orig_rmdir = Syscalls.rmdir
-    orig_unlink = Syscalls.unlink
-    orig_rename = Syscalls.rename
-    orig_symlink = Syscalls.symlink
-    orig_link = Syscalls.link
-    orig_mount = Syscalls.mount
-    orig_submit = IoUring.submit
-    orig_ly_create = LibYanc.create_flow
-    orig_ly_commit = LibYanc.commit_flow
-    orig_ly_write = LibYanc.write_flow_files
-    orig_ly_delete = LibYanc.delete_flow
-    orig_ly_flush = LibYanc.flush
-
-    def patched_open(self: Syscalls, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> int:
-        if not _RECORDERS:
-            return orig_open(self, path, flags, mode)
-        fd = orig_open(self, path, flags, mode)
-        if flags & _WRITE_FLAGS:
-            abspath = self._abspath(path)
-            if any(r.in_scope(abspath) for r in _RECORDERS):
-                _TRACKED_FDS[(id(self), fd)] = abspath
-                _record("open", (abspath, flags, fd), id(self.vfs))
-        return fd
-
-    def patched_write(self: Syscalls, fd: int, data: bytes) -> int:
-        if not _RECORDERS:
-            return orig_write(self, fd, data)
-        result = orig_write(self, fd, data)
-        if (id(self), fd) in _TRACKED_FDS:
-            _record("write", (fd, bytes(data)), id(self.vfs))
-        return result
-
-    def patched_pwrite(self: Syscalls, fd: int, data: bytes, offset: int) -> int:
-        if not _RECORDERS:
-            return orig_pwrite(self, fd, data, offset)
-        result = orig_pwrite(self, fd, data, offset)
-        if (id(self), fd) in _TRACKED_FDS:
-            _record("pwrite", (fd, bytes(data), offset), id(self.vfs))
-        return result
-
-    def patched_close(self: Syscalls, fd: int) -> None:
-        if not _RECORDERS:
-            return orig_close(self, fd)
-        tracked = (id(self), fd) in _TRACKED_FDS
-        try:
-            return orig_close(self, fd)
-        finally:
-            # Recorded even when close-time validation raises: the replay
-            # tree runs the same validator and rolls back the same way.
-            if tracked:
-                _TRACKED_FDS.pop((id(self), fd), None)
-                _record("close", (fd,), id(self.vfs))
-
-    def patched_ftruncate(self: Syscalls, fd: int, size: int) -> None:
-        if not _RECORDERS:
-            return orig_ftruncate(self, fd, size)
-        orig_ftruncate(self, fd, size)
-        if (id(self), fd) in _TRACKED_FDS:
-            _record("ftruncate", (fd, size), id(self.vfs))
-
-    def patched_truncate(self: Syscalls, path: str, size: int) -> None:
-        if not _RECORDERS:
-            return orig_truncate(self, path, size)
-        orig_truncate(self, path, size)
-        _record_path(self, "truncate", path, extra=(size,))
-
-    def patched_mkdir(self: Syscalls, path: str, mode: int = 0o755) -> None:
-        if not _RECORDERS:
-            return orig_mkdir(self, path, mode)
-        orig_mkdir(self, path, mode)
-        _record_path(self, "mkdir", path)
-
-    def patched_rmdir(self: Syscalls, path: str) -> None:
-        if not _RECORDERS:
-            return orig_rmdir(self, path)
-        orig_rmdir(self, path)
-        _record_path(self, "rmdir", path)
-
-    def patched_unlink(self: Syscalls, path: str) -> None:
-        if not _RECORDERS:
-            return orig_unlink(self, path)
-        orig_unlink(self, path)
-        _record_path(self, "unlink", path)
-
-    def patched_rename(self: Syscalls, oldpath: str, newpath: str) -> None:
-        if not _RECORDERS:
-            return orig_rename(self, oldpath, newpath)
-        orig_rename(self, oldpath, newpath)
-        _record_path(self, "rename", oldpath, newpath)
-
-    def patched_symlink(self: Syscalls, target: str, linkpath: str) -> None:
-        if not _RECORDERS:
-            return orig_symlink(self, target, linkpath)
-        orig_symlink(self, target, linkpath)
-        abspath = self._abspath(linkpath)
-        for recorder in _RECORDERS:
-            if recorder.in_scope(abspath):
-                recorder.record("symlink", (target, abspath), id(self.vfs))
-
-    def patched_link(self: Syscalls, oldpath: str, newpath: str) -> None:
-        if not _RECORDERS:
-            return orig_link(self, oldpath, newpath)
-        orig_link(self, oldpath, newpath)
-        _record_path(self, "link", oldpath, newpath)
-
-    def patched_mount(self: Syscalls, path: str, fs, *, source: str = "") -> None:
-        if not _RECORDERS:
-            return orig_mount(self, path, fs, source=source)
-        orig_mount(self, path, fs, source=source)
-        abspath = self._abspath(path)
+    def _mounted(self, sc: Syscalls, args: tuple, _result: None, error: object, _token: None) -> None:
+        if error is not None:
+            return
+        path, fs, _source = args
+        abspath = sc._abspath(path)
         kind = "yanc" if isinstance(fs, YancFs) else type(fs).__name__
         if kind == "yanc":
-            _FS_MOUNTS[id(fs)] = abspath
-        for recorder in _RECORDERS:
-            if recorder.in_scope(abspath):
-                recorder.record("mount", (abspath, kind), id(self.vfs))
+            self._mounts[id(fs)] = abspath
+        if self.in_scope(abspath):
+            self.record("mount", (abspath, kind), id(sc.vfs))
 
-    def patched_submit(self: IoUring) -> int:
-        if not _RECORDERS:
-            return orig_submit(self)
-        global _BATCH_ACTIVE, _BATCH_SEQ
-        _BATCH_SEQ += 1
-        previous, _BATCH_ACTIVE = _BATCH_ACTIVE, _BATCH_SEQ
-        try:
-            return orig_submit(self)
-        finally:
-            _BATCH_ACTIVE = previous
+    def _open_batch(self, _ring, _args: tuple) -> int | None:
+        self._batches += 1
+        previous, self._batch = self._batch, self._batches
+        return previous
 
-    def _fastpath(op: str, ly: LibYanc, args: tuple) -> None:
-        mount = _FS_MOUNTS.get(id(ly.fs))
-        if mount is None:
-            return  # store not reachable through any recorded tree
-        for recorder in _RECORDERS:
-            if recorder.in_scope(mount):
-                recorder.record(op, (mount,) + args, id(ly.fs))
+    def _close_batch(self, _ring, _args: tuple, _result: object, _error: object, previous: int | None) -> None:
+        self._batch = previous
 
-    def patched_ly_create(self: LibYanc, switch, name, match, actions, **kwargs):
-        if not _RECORDERS:
-            return orig_ly_create(self, switch, name, match, actions, **kwargs)
-        # Reconstruct the spec-file dict exactly as create_flow does; the
-        # nested commit (commit=True) records separately via commit_flow.
-        result = orig_ly_create(self, switch, name, match, actions, **kwargs)
-        files = dict(match.to_files())
-        for index, action in enumerate(actions):
-            filename, content = action.to_file()
-            if index:
-                filename = f"{filename}.{index}"
-            files[filename] = content
-        for key, attr in (("priority", "priority"), ("idle_timeout", "timeout"), ("hard_timeout", "hard_timeout")):
-            value = kwargs.get(key)
-            if value is not None:
-                files[attr] = str(value)
-        _fastpath("fastpath-create", self, (switch, name, files))
-        return result
+    def _open_window(self, _ly, _args: tuple) -> int | None:
+        self._windows += 1
+        previous, self._window = self._window, self._windows
+        return previous
 
-    def patched_ly_commit(self: LibYanc, switch, name):
-        if not _RECORDERS:
-            return orig_ly_commit(self, switch, name)
-        result = orig_ly_commit(self, switch, name)
-        _fastpath("fastpath-commit", self, (switch, name))
-        return result
+    def _close_window(self, _ly, _args: tuple, _result: object, _error: object, previous: int | None) -> None:
+        self._window = previous
 
-    def patched_ly_write(self: LibYanc, switch, name, files, *, commit: bool = False):
-        if not _RECORDERS:
-            return orig_ly_write(self, switch, name, files, commit=commit)
-        result = orig_ly_write(self, switch, name, files, commit=commit)
-        _fastpath("fastpath-write", self, (switch, name, dict(files)))
-        return result
-
-    def patched_ly_delete(self: LibYanc, switch, name):
-        if not _RECORDERS:
-            return orig_ly_delete(self, switch, name)
-        result = orig_ly_delete(self, switch, name)
-        _fastpath("fastpath-delete", self, (switch, name))
-        return result
-
-    def patched_ly_flush(self: LibYanc):
-        if not _RECORDERS:
-            return orig_ly_flush(self)
-        global _WINDOW_ACTIVE, _WINDOW_SEQ
-        _WINDOW_SEQ += 1
-        previous, _WINDOW_ACTIVE = _WINDOW_ACTIVE, _WINDOW_SEQ
-        try:
-            return orig_ly_flush(self)
-        finally:
-            _WINDOW_ACTIVE = previous
-
-    Syscalls.open = patched_open  # type: ignore[method-assign]
-    Syscalls.write = patched_write  # type: ignore[method-assign]
-    Syscalls.pwrite = patched_pwrite  # type: ignore[method-assign]
-    Syscalls.close = patched_close  # type: ignore[method-assign]
-    Syscalls.ftruncate = patched_ftruncate  # type: ignore[method-assign]
-    Syscalls.truncate = patched_truncate  # type: ignore[method-assign]
-    Syscalls.mkdir = patched_mkdir  # type: ignore[method-assign]
-    Syscalls.rmdir = patched_rmdir  # type: ignore[method-assign]
-    Syscalls.unlink = patched_unlink  # type: ignore[method-assign]
-    Syscalls.rename = patched_rename  # type: ignore[method-assign]
-    Syscalls.symlink = patched_symlink  # type: ignore[method-assign]
-    Syscalls.link = patched_link  # type: ignore[method-assign]
-    Syscalls.mount = patched_mount  # type: ignore[method-assign]
-    IoUring.submit = patched_submit  # type: ignore[method-assign]
-    LibYanc.create_flow = patched_ly_create  # type: ignore[method-assign]
-    LibYanc.commit_flow = patched_ly_commit  # type: ignore[method-assign]
-    LibYanc.write_flow_files = patched_ly_write  # type: ignore[method-assign]
-    LibYanc.delete_flow = patched_ly_delete  # type: ignore[method-assign]
-    LibYanc.flush = patched_ly_flush  # type: ignore[method-assign]
+    def _fastpath(self, op: str, ly, args: tuple, _result: object, error: object, _token: None) -> None:
+        mount = self._mounts.get(id(ly.fs))
+        if error is not None or mount is None or not self.in_scope(mount):
+            return  # failed, or the store is not reachable through a recorded tree
+        switch, name = args[:2]
+        if op == "fastpath-create":
+            # A nested commit (commit=True) records separately via commit_flow.
+            match, actions, priority, idle_timeout, hard_timeout, _commit = args[2:]
+            detail = (flow_spec_files(match, actions, priority=priority, idle_timeout=idle_timeout, hard_timeout=hard_timeout),)
+        elif op == "fastpath-write":
+            detail = (dict(args[2]),)
+        else:
+            detail = ()
+        self.record(op, (mount, switch, name) + detail, id(ly.fs))
 
 
 __all__ = ["CrashRecorder", "DurableOp"]

@@ -50,7 +50,7 @@ def run_calibration(paths: list[str]) -> list[CalibrationRow]:
     from repro.analysis.yancperf.model import CostIndex
     from repro.perf.meter import SyscallMeter
     from repro.shell import Shell
-    from repro.yancfs.client import YancClient
+    from repro.yancfs.client import YancClient, flow_spec_files
 
     sources, _findings = load_files(paths)
     index = CostIndex(sources)
@@ -86,7 +86,7 @@ def run_calibration(paths: list[str]) -> list[CalibrationRow]:
         match = Match(dl_type=0x0800)
         actions = [Output(FLOOD)]
         YancClient(sc).create_flow("sw1", "cal_flow", match, actions, priority=7)
-        return max(len(match.to_files()), len(actions))
+        return len(flow_spec_files(match, actions, priority=7))  # one write per spec file
 
     def read_flow(sc) -> int:
         quiet.create_flow("sw2", "cal_rf", Match(dl_type=0x0800, nw_proto=6), [Output(FLOOD)], priority=5)

@@ -2,8 +2,9 @@
 
 Every VFS operation in this repo funnels through a handful of ``Syscalls``
 methods — the same property the paper leans on for §5 isolation ("each
-process only needs file I/O").  With ``YANCSEC=1`` those choke points are
-tapped and three invariants are enforced while a workload runs:
+process only needs file I/O").  With ``YANCSEC=1`` the monitor subscribes
+to those choke points' tracepoints (:mod:`repro.vfs.trace`) and enforces
+three invariants while a workload runs:
 
 ``root-app``
     A process spawned in the *app* role must never execute a syscall with
@@ -26,19 +27,19 @@ path-prefix)`` tuple — the dynamic ground truth the static pass
 yancrace pairs its lockset pass with the runtime detector.
 
 Batched I/O caveat: ring operations bypass the per-path ``Syscalls``
-methods, so the monitor taps ``io_uring_setup`` instead — an app-role
+methods, so the monitor also watches ``io_uring_setup`` — an app-role
 context running as uid 0 is caught at ring creation, before any batched
 submission executes.
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-import sys
+import functools
 from dataclasses import dataclass
 
+from repro.analysis.checkers import EnvChecker
 from repro.vfs.syscalls import O_CREAT, O_RDWR, O_TRUNC, O_WRONLY, Syscalls
+from repro.vfs.trace import Hook, Subscriber
 
 __all__ = [
     "SecFinding",
@@ -52,6 +53,30 @@ __all__ = [
 
 #: Spool prefixes every host ships writable (see ``ControllerHost``).
 _SHARED_PREFIXES = ("/var", "/tmp", "/proc", "/dev")
+
+#: Syscalls primitive -> (indices of its path arguments, is-write; None
+#: means judged by the open flags).  ``read_text`` and friends route
+#: through ``open`` and ``makedirs`` through ``mkdir``, so monitoring the
+#: primitives covers the conveniences.
+_PATH_OPS: dict[str, tuple[tuple[int, ...], bool | None]] = {
+    "open": ((0,), None),
+    "listdir": ((0,), False),
+    "scandir": ((0,), False),
+    "readlink": ((0,), False),
+    "walk": ((0,), False),
+    "mkdir": ((0,), True),
+    "rmdir": ((0,), True),
+    "unlink": ((0,), True),
+    "truncate": ((0,), True),
+    "chmod": ((0,), True),
+    "set_acl": ((0,), True),
+    "link": ((0,), True),
+    "chown": ((0,), True),
+    "rename": ((0, 1), True),
+    "symlink": ((1,), True),
+}
+
+_WRITE_FLAGS = O_WRONLY | O_RDWR | O_CREAT | O_TRUNC
 
 
 @dataclass(frozen=True)
@@ -71,7 +96,7 @@ def _prefix(path: str, depth: int = 2) -> str:
     return "/" + "/".join(parts[:depth])
 
 
-class SecurityMonitor:
+class SecurityMonitor(Subscriber):
     """Records access tuples and flags isolation violations at runtime."""
 
     def __init__(self) -> None:
@@ -83,21 +108,18 @@ class SecurityMonitor:
         #: Controller mount points (``ControllerHost`` registers its own).
         self._roots: list[str] = []
         self._allowed: list[str] = list(_SHARED_PREFIXES)
-        #: ``/net/apps/<name>`` -> owner uid, learned from tapped chowns.
+        #: ``/net/apps/<name>`` -> owner uid, learned from observed chowns.
         self._home_uids: dict[str, int] = {}
 
     # -- lifecycle -----------------------------------------------------
 
-    def install(self) -> None:
-        """Patch the ``Syscalls`` choke points and start monitoring."""
-        _patch_once()
-        if self not in _MONITORS:
-            _MONITORS.append(self)
-
-    def uninstall(self) -> None:
-        """Stop receiving events (patches stay; they become no-ops)."""
-        if self in _MONITORS:
-            _MONITORS.remove(self)
+    def tracepoints(self) -> dict[str, Hook]:
+        hooks = {
+            f"Syscalls.{op}": Hook(exit=functools.partial(self._accessed, op, paths, write))
+            for op, (paths, write) in _PATH_OPS.items()
+        }
+        hooks["Syscalls.io_uring_setup"] = Hook(exit=self._on_uring)
+        return hooks
 
     def reset(self) -> None:
         """Forget findings and accesses.
@@ -128,7 +150,18 @@ class SecurityMonitor:
         if prefix not in self._allowed:
             self._allowed.append(prefix)
 
-    # -- event sinks (called from the patched methods) ------------------
+    # -- tracepoint hooks (successful calls only) ----------------------
+
+    def _accessed(self, op: str, paths: tuple[int, ...], write: bool | None, sc: Syscalls, args: tuple, _result: object, error: object, _token: None) -> None:
+        if error is not None:
+            return
+        if write is None:  # open: judged by its flags
+            write = bool(args[1] & _WRITE_FLAGS)
+        for index in paths:
+            path = sc._abspath(args[index])
+            if op == "chown":
+                self._learn_home(path, args[1])
+            self._on_path(sc, op, path, write)
 
     def _emit(self, kind: str, detail: str, key: tuple[object, ...]) -> None:
         if key in self._seen:
@@ -180,14 +213,14 @@ class SecurityMonitor:
     def _is_allowed(self, path: str) -> bool:
         return any(path == p or path.startswith(p + "/") for p in self._allowed)
 
-    def _on_chown(self, sc: Syscalls, path: str, uid: int) -> None:
+    def _learn_home(self, path: str, uid: int) -> None:
         for root in self._roots:
             apps = root + "/apps/"
             if path.startswith(apps) and "/" not in path[len(apps) :]:
                 self._home_uids[path] = uid
 
-    def _on_uring(self, sc: Syscalls) -> None:
-        if getattr(sc, "role", None) == "app" and sc.cred.uid == 0:
+    def _on_uring(self, sc: Syscalls, _args: tuple, _ring: object, error: object, _token: None) -> None:
+        if error is None and getattr(sc, "role", None) == "app" and sc.cred.uid == 0:
             self._emit(
                 "root-app",
                 "io_uring_setup: app-role process creating a syscall ring as uid 0",
@@ -195,151 +228,14 @@ class SecurityMonitor:
             )
 
 
-_MONITORS: list[SecurityMonitor] = []
-_patched = False
-
-#: (method name, is-write).  ``open`` / ``rename`` / ``symlink`` / ``chown``
-#: / ``walk`` / ``io_uring_setup`` need bespoke wrappers; ``read_text`` and
-#: friends route through ``open`` and ``makedirs`` through ``mkdir``, so
-#: tapping the primitives covers the conveniences.
-_SIMPLE_TAPS = (
-    ("listdir", False),
-    ("scandir", False),
-    ("readlink", False),
-    ("mkdir", True),
-    ("rmdir", True),
-    ("unlink", True),
-    ("truncate", True),
-    ("chmod", True),
-    ("set_acl", True),
-    ("link", True),
-)
-
-_WRITE_FLAGS = O_WRONLY | O_RDWR | O_CREAT | O_TRUNC
-
-
-def _patch_once() -> None:
-    """Wrap the ``Syscalls`` choke points (idempotent)."""
-    global _patched
-    if _patched:
-        return
-    _patched = True
-
-    def _tap(name: str, write: bool):
-        orig = getattr(Syscalls, name)
-
-        def patched(self: Syscalls, path: str, *args, **kwargs):
-            out = orig(self, path, *args, **kwargs)
-            if _MONITORS:
-                ap = self._abspath(path)
-                for mon in _MONITORS:
-                    mon._on_path(self, name, ap, write)
-            return out
-
-        patched.__name__ = name
-        patched.__doc__ = orig.__doc__
-        return patched
-
-    for name, write in _SIMPLE_TAPS:
-        setattr(Syscalls, name, _tap(name, write))
-
-    orig_open = Syscalls.open
-    orig_rename = Syscalls.rename
-    orig_symlink = Syscalls.symlink
-    orig_chown = Syscalls.chown
-    orig_walk = Syscalls.walk
-    orig_uring = Syscalls.io_uring_setup
-
-    def patched_open(self: Syscalls, path: str, flags: int = 0, mode: int = 0o644) -> int:
-        fd = orig_open(self, path, flags, mode)
-        if _MONITORS:
-            ap = self._abspath(path)
-            write = bool(flags & _WRITE_FLAGS)
-            for mon in _MONITORS:
-                mon._on_path(self, "open", ap, write)
-        return fd
-
-    def patched_rename(self: Syscalls, oldpath: str, newpath: str) -> None:
-        orig_rename(self, oldpath, newpath)
-        if _MONITORS:
-            for ap in (self._abspath(oldpath), self._abspath(newpath)):
-                for mon in _MONITORS:
-                    mon._on_path(self, "rename", ap, True)
-
-    def patched_symlink(self: Syscalls, target: str, linkpath: str) -> None:
-        orig_symlink(self, target, linkpath)
-        if _MONITORS:
-            ap = self._abspath(linkpath)
-            for mon in _MONITORS:
-                mon._on_path(self, "symlink", ap, True)
-
-    def patched_chown(self: Syscalls, path: str, uid: int, gid: int) -> None:
-        orig_chown(self, path, uid, gid)
-        if _MONITORS:
-            ap = self._abspath(path)
-            for mon in _MONITORS:
-                mon._on_chown(self, ap, uid)
-                mon._on_path(self, "chown", ap, True)
-
-    def patched_walk(self: Syscalls, path: str):
-        if _MONITORS:
-            ap = self._abspath(path)
-            for mon in _MONITORS:
-                mon._on_path(self, "walk", ap, False)
-        return orig_walk(self, path)
-
-    def patched_uring(self: Syscalls, entries: int = 256):
-        ring = orig_uring(self, entries)
-        for mon in _MONITORS:
-            mon._on_uring(self)
-        return ring
-
-    Syscalls.open = patched_open  # type: ignore[method-assign]
-    Syscalls.rename = patched_rename  # type: ignore[method-assign]
-    Syscalls.symlink = patched_symlink  # type: ignore[method-assign]
-    Syscalls.chown = patched_chown  # type: ignore[method-assign]
-    Syscalls.walk = patched_walk  # type: ignore[method-assign]
-    Syscalls.io_uring_setup = patched_uring  # type: ignore[method-assign]
-
-
-_env_monitor: SecurityMonitor | None = None
-
-
-def enabled() -> bool:
-    """True when the ``YANCSEC`` environment variable asks for monitoring."""
-    return os.environ.get("YANCSEC", "") not in ("", "0")
-
-
-def install_from_env() -> SecurityMonitor | None:
-    """Install (once) the process-wide monitor when ``YANCSEC=1``.
-
-    Outside pytest (whose autouse fixture checks after every test), an
-    atexit hook reports any violations still recorded at teardown.
-    """
-    global _env_monitor
-    if not enabled():
-        return None
-    if _env_monitor is None:
-        _env_monitor = SecurityMonitor()
-        _env_monitor.install()
-        atexit.register(_report_at_exit)
-    return _env_monitor
-
-
-def _report_at_exit() -> None:
-    mon = _env_monitor
-    if mon is None:
-        return
-    findings = mon.check()
-    if findings:
-        print(f"yancsec: {len(findings)} violation(s) at teardown", file=sys.stderr)
-        for finding in findings:
-            print(f"  {finding}", file=sys.stderr)
-
-
-def active() -> SecurityMonitor | None:
-    """The environment-driven monitor, if one is installed."""
-    return _env_monitor
+#: The ``YANCSEC`` opt-in; the module-level names are the historical API.
+#: Outside pytest (whose autouse fixture checks after every test), any
+#: violations still recorded at interpreter exit are reported.
+ENV = EnvChecker("yancsec", "YANCSEC", SecurityMonitor, report_at_exit=True)
+enabled = ENV.enabled
+install_from_env = ENV.install_from_env
+active = ENV.active
+reset_all = ENV.reset_all
 
 
 def register_root(mount_point: str) -> None:
@@ -349,11 +245,5 @@ def register_root(mount_point: str) -> None:
     any explicitly installed one (e.g. the CLI's ``--monitor`` pass) —
     agree on where homes live and where app writes are legitimate.
     """
-    for mon in _MONITORS:
+    for mon in ENV.installed():
         mon.register_root(mount_point)
-
-
-def reset_all() -> None:
-    """Clear state on every installed monitor (test isolation)."""
-    for mon in _MONITORS:
-        mon.reset()

@@ -17,24 +17,6 @@ from repro.perf.counters import PerfCounters
 from repro.vfs.cred import Credentials
 from repro.vfs.errors import NotPermitted, PermissionDenied, TimedOut
 
-#: Observers called as ``tap("send", channel)`` before the handler runs
-#: and ``tap("recv", channel)`` after it returns (or raises).  Used by
-#: yancrace to model the message-passing happens-before edges of a call.
-_call_taps: list[Callable[[str, "RpcChannel"], None]] = []
-
-
-def add_call_tap(tap: Callable[[str, "RpcChannel"], None]) -> None:
-    """Register an RPC observer (idempotent)."""
-    if tap not in _call_taps:
-        _call_taps.append(tap)
-
-
-def remove_call_tap(tap: Callable[[str, "RpcChannel"], None]) -> None:
-    """Unregister an RPC observer previously added."""
-    if tap in _call_taps:
-        _call_taps.remove(tap)
-
-
 class RpcChannel:
     """One client's connection to a file server."""
 
@@ -71,16 +53,7 @@ class RpcChannel:
             raise TimedOut(detail=f"rpc channel {self.name} is down")
         payload = sum(len(a) for a in args if isinstance(a, (bytes, str)))
         try:
-            if _call_taps:
-                for tap in _call_taps:
-                    tap("send", self)
-                try:
-                    result = self.handler(op, args, self.cred)
-                finally:
-                    for tap in _call_taps:
-                        tap("recv", self)
-            else:
-                result = self.handler(op, args, self.cred)
+            result = self.handler(op, args, self.cred)
         except (PermissionDenied, NotPermitted):
             self.counters.add("distfs.rpc_denied")
             raise

@@ -79,6 +79,7 @@ class SwitchBinding:
     _xid: int = 0
     _event_seq: int = 0
     dropped_events: int = 0
+    framing_errors: int = 0
 
     # -- wire ------------------------------------------------------------------
 
@@ -95,6 +96,13 @@ class SwitchBinding:
         self._rx += data
         while len(self._rx) >= 8:
             length = int.from_bytes(self._rx[2:4], "big")
+            if length < 8:
+                # A length below the header's own size can never be skipped
+                # past: the stream has lost its framing.  Count the
+                # rejection once and drop the buffer.
+                self.framing_errors += 1
+                self._rx = b""
+                return
             if len(self._rx) < length:
                 return
             try:

@@ -30,6 +30,7 @@ from repro.perf.counters import PerfCounters
 from repro.vfs.errors import FileExists, FileNotFound, NotADirectory
 from repro.vfs.inode import DirInode
 from repro.yancfs import validate
+from repro.yancfs.client import flow_spec_files
 from repro.yancfs.schema import AttributeFile, FlowNode, FlowsDir, SwitchNode, YancFs
 
 #: Default capacity of a packet ring created on first use.
@@ -113,18 +114,7 @@ class LibYanc:
         if flows.has_child(name):
             raise FileExists(name)
         node = FlowNode(self.fs, mode=0o755, uid=0, gid=0)
-        files = dict(match.to_files())
-        for index, action in enumerate(actions):
-            filename, content = action.to_file()
-            if index:
-                filename = f"{filename}.{index}"
-            files[filename] = content
-        if priority is not None:
-            files["priority"] = str(priority)
-        if idle_timeout is not None:
-            files["timeout"] = str(idle_timeout)
-        if hard_timeout is not None:
-            files["hard_timeout"] = str(hard_timeout)
+        files = flow_spec_files(match, actions, priority=priority, idle_timeout=idle_timeout, hard_timeout=hard_timeout)
         flows.attach(name, node)  # populates counters/ + version
         for filename, content in files.items():
             attr = AttributeFile(

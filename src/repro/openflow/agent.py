@@ -119,6 +119,14 @@ class SwitchAgent:
             if len(self._rx) < 8:
                 return
             length = int.from_bytes(self._rx[2:4], "big")
+            if length < 8:
+                # A length below the header's own size can never be skipped
+                # past: the stream has lost its framing.  Reject it once
+                # (OFPET_BAD_REQUEST / OFPBRC_BAD_LEN) and drop the buffer.
+                self.errors_sent += 1
+                self._send(m.ErrorMsg(err_type=1, err_code=6, data=self._rx[:8]))
+                self._rx = b""
+                return
             if len(self._rx) < length:
                 return
             try:

@@ -7,7 +7,7 @@ tests, and benchmarks stay short.
 
 from __future__ import annotations
 
-from repro.analysis import race, sanitizer
+from repro.analysis import checkers
 from repro.dataplane.network import Network
 from repro.drivers import OF10_VERSION, OpenFlowDriver
 from repro.perf.meter import SyscallMeter
@@ -36,11 +36,7 @@ class ControllerHost:
     """
 
     def __init__(self, sim: Simulator | None = None, *, name: str = "ctl", mount_point: str = "/net") -> None:
-        sanitizer.install_from_env()  # no-op unless YANCSAN=1
-        race.install_from_env()  # no-op unless YANCRACE=1
-        from repro.analysis.yancsec import monitor as secmon
-
-        secmon.install_from_env()  # no-op unless YANCSEC=1
+        checkers.install_from_env()  # no-op unless YANCSAN/YANCRACE/YANCSEC is set
         self.sim = sim or Simulator()
         self.name = name
         self.vfs = VirtualFileSystem(clock=lambda: self.sim.now)
@@ -59,6 +55,8 @@ class ControllerHost:
                 self.root_sc.set_acl(spool, ACL_COLLAB_DIR)
         # Fan out to every installed monitor, not just the env-driven one:
         # the CLI's --monitor pass installs its own observer.
+        from repro.analysis.yancsec import monitor as secmon
+
         secmon.register_root(mount_point)
 
     def process(

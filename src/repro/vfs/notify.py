@@ -25,25 +25,6 @@ from repro.vfs.errors import InvalidArgument
 if TYPE_CHECKING:
     from repro.vfs.inode import Inode
 
-#: Observers called as ``tap(instance, event)`` for every event delivered
-#: to an :class:`Inotify` instance, *before* coalescing/overflow handling —
-#: so an observer sees the delivery even when the queue merges or drops it.
-#: Used by yancrace to propagate the emitter's clock to watchers.
-_delivery_taps: list[Callable[["Inotify", "NotifyEvent"], None]] = []
-
-
-def add_delivery_tap(tap: Callable[["Inotify", "NotifyEvent"], None]) -> None:
-    """Register a delivery observer (idempotent)."""
-    if tap not in _delivery_taps:
-        _delivery_taps.append(tap)
-
-
-def remove_delivery_tap(tap: Callable[["Inotify", "NotifyEvent"], None]) -> None:
-    """Unregister a delivery observer previously added."""
-    if tap in _delivery_taps:
-        _delivery_taps.remove(tap)
-
-
 class EventMask(enum.IntFlag):
     """inotify event bits (same names as ``<sys/inotify.h>``)."""
 
@@ -208,9 +189,8 @@ class Inotify:
         self._watches[watch.wd] = watch
 
     def _deliver(self, event: NotifyEvent) -> None:
-        if _delivery_taps:
-            for tap in _delivery_taps:
-                tap(self, event)
+        # A tracepoint (repro.vfs.trace): observers see every delivery,
+        # before coalescing or overflow handling can merge or drop it.
         queue = self._queue
         if queue:
             last = queue[-1]

@@ -9,6 +9,7 @@ from repro.yancfs.client import (
     FlowSpec,
     PacketInEvent,
     YancClient,
+    flow_spec_files,
     mount_yancfs,
 )
 from repro.yancfs.recovery import FsckReport, fsck, sweep_staging
@@ -34,6 +35,7 @@ __all__ = [
     "FsckReport",
     "PacketInEvent",
     "YancClient",
+    "flow_spec_files",
     "fsck",
     "mount_yancfs",
     "sweep_staging",

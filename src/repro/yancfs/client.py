@@ -43,6 +43,33 @@ def mount_yancfs(sc: Syscalls, path: str = "/net", *, recover: bool = True) -> Y
     return fs
 
 
+def flow_spec_files(
+    match: Match,
+    actions: list[Action],
+    *,
+    priority: int | None = None,
+    idle_timeout: float | None = None,
+    hard_timeout: float | None = None,
+) -> dict[str, str]:
+    """The spec files of one flow directory, in write order (§3.4).
+
+    Match fields first, then one ``action.<kind>[.<n>]`` per action (the
+    suffix keeps their order), then whichever of ``priority``, ``timeout``
+    and ``hard_timeout`` are given.  ``version`` is not a spec file: it is
+    the commit.
+    """
+    files = dict(match.to_files())
+    for index, action in enumerate(actions):
+        filename, content = action.to_file()
+        if index:
+            filename = f"{filename}.{index}"
+        files[filename] = content
+    for filename, value in (("priority", priority), ("timeout", idle_timeout), ("hard_timeout", hard_timeout)):
+        if value is not None:
+            files[filename] = str(value)
+    return files
+
+
 @dataclass(frozen=True)
 class FlowSpec:
     """Everything a committed flow directory describes."""
@@ -162,20 +189,10 @@ class YancClient:
         that makes the whole thing visible to the driver atomically.
         """
         path = self.flow_path(switch, name)
+        files = flow_spec_files(match, actions, priority=priority, idle_timeout=idle_timeout, hard_timeout=hard_timeout)
         self.sc.mkdir(path)
-        for filename, content in match.to_files().items():
+        for filename, content in files.items():
             self.sc.write_text(f"{path}/{filename}", content)
-        for index, action in enumerate(actions):
-            filename, content = action.to_file()
-            if index:
-                filename = f"{filename}.{index}"
-            self.sc.write_text(f"{path}/{filename}", content)
-        if priority is not None:
-            self.sc.write_text(f"{path}/priority", str(priority))
-        if idle_timeout is not None:
-            self.sc.write_text(f"{path}/timeout", str(idle_timeout))
-        if hard_timeout is not None:
-            self.sc.write_text(f"{path}/hard_timeout", str(hard_timeout))
         if commit:
             self.commit_flow(switch, name)
         return path
@@ -205,18 +222,7 @@ class YancClient:
         created = 0
         for name, match, actions in entries:
             path = self.flow_path(switch, name)
-            files = dict(match.to_files())
-            for index, action in enumerate(actions):
-                filename, content = action.to_file()
-                if index:
-                    filename = f"{filename}.{index}"
-                files[filename] = content
-            if priority is not None:
-                files["priority"] = str(priority)
-            if idle_timeout is not None:
-                files["timeout"] = str(idle_timeout)
-            if hard_timeout is not None:
-                files["hard_timeout"] = str(hard_timeout)
+            files = flow_spec_files(match, actions, priority=priority, idle_timeout=idle_timeout, hard_timeout=hard_timeout)
             self._make_room(ring, 4 + 3 * len(files))
             ring.prep("mkdir", path, link=True)
             for filename, content in files.items():

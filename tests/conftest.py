@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import race, sanitizer
-from repro.analysis.yancsec import monitor as yancsec_monitor
+from repro.analysis import checkers
 from repro.runtime import YancController
 from repro.sim import Simulator
 from repro.vfs.syscalls import Syscalls
@@ -14,51 +13,21 @@ from repro.yancfs.client import YancClient, mount_yancfs
 
 
 @pytest.fixture(autouse=True)
-def yancsan_check():
-    """With YANCSAN=1, run every test under the runtime sanitizer and fail
-    it if any invariant violation (fd leak, unvalidated write, notify
-    inconsistency, flow-commit break) is recorded."""
-    san = sanitizer.install_from_env()
-    if san is None:
-        yield
-        return
-    san.reset()
+def runtime_checks():
+    """With YANCSAN=1, YANCRACE=1 or YANCSEC=1, run every test under that
+    runtime checker (sanitizer, happens-before race detector, reference
+    monitor) and fail it on any finding."""
+    installed = checkers.install_from_env()
+    for _label, checker in installed:
+        checker.reset()
     yield
-    findings = san.check()
-    san.reset()
-    assert not findings, "yancsan findings:\n" + "\n".join(str(f) for f in findings)
-
-
-@pytest.fixture(autouse=True)
-def yancrace_check():
-    """With YANCRACE=1, run every test under the happens-before race
-    detector and fail it on any unsynchronized access, torn commit, or
-    read of uncommitted flow state."""
-    det = race.install_from_env()
-    if det is None:
-        yield
-        return
-    det.reset()
-    yield
-    findings = det.check()
-    det.reset()
-    assert not findings, "yancrace findings:\n" + "\n".join(str(f) for f in findings)
-
-
-@pytest.fixture(autouse=True)
-def yancsec_check():
-    """With YANCSEC=1, run every test under the reference monitor and fail
-    it on any isolation violation (app running as root, cross-tenant read,
-    ambient write outside the controller tree)."""
-    mon = yancsec_monitor.install_from_env()
-    if mon is None:
-        yield
-        return
-    mon.reset()
-    yield
-    findings = mon.check()
-    mon.reset()
-    assert not findings, "yancsec findings:\n" + "\n".join(str(f) for f in findings)
+    report = []
+    for label, checker in installed:
+        findings = checker.check()
+        checker.reset()
+        if findings:
+            report.append(f"{label} findings:\n" + "\n".join(str(f) for f in findings))
+    assert not report, "\n".join(report)
 
 
 @pytest.fixture

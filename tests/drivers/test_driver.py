@@ -1,5 +1,7 @@
 """The OpenFlow driver: FS <-> switch synchronization."""
 
+import threading
+
 import pytest
 
 from repro.dataplane import FLOOD, Match, Output, build_linear
@@ -212,3 +214,19 @@ def test_invalid_version_rejected():
     vfs = VirtualFileSystem()
     with pytest.raises(ValueError):
         OpenFlowDriver(Syscalls(vfs), Simulator(), version=0x02)
+
+
+def test_zero_length_header_rejected_once(ctl):
+    """A length field below the header size can never be skipped past:
+    the driver counts one framing error and drops the buffer instead of
+    spinning, and the session keeps installing flows."""
+    binding = ctl.drivers[0].bindings[1]
+    worker = threading.Thread(target=binding.on_data, args=(bytes.fromhex("0100000000000000"),), daemon=True)
+    worker.start()
+    worker.join(5.0)
+    assert not worker.is_alive()
+    assert binding.framing_errors == 1
+    yc = ctl.client()
+    yc.create_flow("sw1", "f", Match(dl_type=0x800), [Output(2)], priority=7)
+    ctl.run(0.2)
+    assert len(ctl.net.switches["sw1"].table.entries()) == 1

@@ -1,5 +1,7 @@
 """The switch-side agent: negotiation and message handling."""
 
+import threading
+
 import pytest
 
 from repro.controlchannel import connect
@@ -211,3 +213,25 @@ def test_garbage_bytes_produce_error_reply(rig):
     sim.run_for(0.01)
     assert agent.errors_sent == 1
     assert stub.of(m.ErrorMsg)
+
+
+def _returns_within(fn, seconds=5.0):
+    """Run ``fn`` on a daemon thread; False if it is still spinning."""
+    worker = threading.Thread(target=fn, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    return not worker.is_alive()
+
+
+def test_zero_length_header_rejected_once(rig):
+    """A length field below the header size can never be skipped past:
+    the agent rejects it once (BAD_REQUEST / BAD_LEN), drops the buffer
+    and keeps serving the session instead of spinning."""
+    sim, _net, _switch, agent, stub = rig
+    stub.conn.send(bytes.fromhex("0100000000000000"))
+    assert _returns_within(lambda: sim.run_for(0.01))
+    assert agent.errors_sent == 1
+    assert [(e.err_type, e.err_code) for e in stub.of(m.ErrorMsg)] == [(1, 6)]
+    stub.send(m.EchoRequest(payload=b"ok", xid=7))
+    sim.run_for(0.01)
+    assert [e.payload for e in stub.of(m.EchoReply)] == [b"ok"]
