@@ -104,6 +104,9 @@ def cidr(value: str | ipaddress.IPv4Network) -> ipaddress.IPv4Network:
     """Parse CIDR notation (``10.0.0.0/8``; a bare address means /32).
 
     Host bits are rejected (``10.0.0.1/8`` is an error), matching how the
-    yanc match files treat malformed CIDR as invalid input.
+    yanc match files treat malformed CIDR as invalid input.  A network
+    passes through unchanged: it was validated when it was built.
     """
+    if isinstance(value, ipaddress.IPv4Network):
+        return value
     return ipaddress.IPv4Network(value)

@@ -15,7 +15,7 @@ POSIX.1e access-check algorithm (simplified: no default/inherited ACLs):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.vfs.cred import Credentials
 from repro.vfs.errors import InvalidArgument
@@ -50,11 +50,22 @@ class AclEntry:
             raise InvalidArgument(detail=f"{self.tag.value} entry takes no qualifier")
 
 
+#: Decision-memo bound per ACL; a full memo is dropped and refilled.
+_DECISIONS_MAX = 1024
+
+
 @dataclass(frozen=True)
 class Acl:
-    """An ordered set of ACL entries."""
+    """An ordered set of ACL entries.
+
+    Both the ACL and :class:`~repro.vfs.cred.Credentials` are frozen, so a
+    decision is a pure function of ``(cred, owner_uid, owner_gid, want)``
+    and :meth:`check` memoizes it per ACL object.  Permission changes
+    rebind a new ACL on the inode, so they never meet a stale decision.
+    """
 
     entries: tuple[AclEntry, ...]
+    _decisions: dict = field(default_factory=dict, init=False, repr=False, compare=False, hash=False)
 
     @classmethod
     def from_mode(cls, mode: int) -> "Acl":
@@ -77,6 +88,18 @@ class Acl:
         """POSIX.1e access check: does ``cred`` get all bits in ``want``?"""
         if cred.is_root:
             return True
+        # Keyed by identity; the value pins ``cred`` so its id stays unique.
+        key = (id(cred), owner_uid, owner_gid, want)
+        decision = self._decisions.get(key)
+        if decision is not None and decision[0] is cred:
+            return decision[1]
+        if len(self._decisions) >= _DECISIONS_MAX:
+            self._decisions.clear()
+        allowed = self._decide(cred, owner_uid, owner_gid, want)
+        self._decisions[key] = (cred, allowed)
+        return allowed
+
+    def _decide(self, cred: Credentials, owner_uid: int, owner_gid: int, want: int) -> bool:
         mask = self._mask()
         # 1. owning user.
         if cred.uid == owner_uid:

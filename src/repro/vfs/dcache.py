@@ -1,8 +1,8 @@
 """The dentry cache: memoized path-component lookups, per mount namespace.
 
-Every syscall re-walks its path component by component through
-``VirtualFileSystem._walk``, so on hot yanc paths (``/net/switches/<s>/
-flows/<f>/...``) the §8.1 syscall-cost story was dominated by redundant
+Without a cache every syscall walks its path component by component
+(``VirtualFileSystem._walk``), so on hot yanc paths (``/net/switches/<s>/
+flows/<f>/...``) the §8.1 syscall-cost story is dominated by redundant
 lookups rather than the kernel-crossing cost the paper measures.  This
 module adds the Linux-style fix: a per-:class:`~repro.vfs.mount.
 MountNamespace` cache mapping ``(parent inode id, component name)`` to the
@@ -27,29 +27,35 @@ Entries hold a strong reference to the parent directory, which makes the
 collected (and its id reused) while its entry lives.  The cache is bounded
 (FIFO eviction) so detached subtrees are only pinned temporarily.
 
-Permission data is never cached by the component layer: the resolver
-re-checks MAY_EXEC on every traversed directory against the live inode, so
-``chmod``/``chown``/``setfacl`` need no invalidation hooks there.
+On top of the component entries sits a **directory memo** (``paths``):
+``components tuple -> (epoch, deps, cred, dir)``, for directories only.
+``VirtualFileSystem`` resolves a path as its memoized parent directory plus
+one live last-component step — ``MAY_EXEC`` on the live parent, a
+component-entry probe or ``lookup``, mount crossing — which is Linux's
+``link_path_walk`` followed by the last-component lookup.  A memo miss
+resolves the parent prefix the same way and steps once, so every new leaf
+under a known directory costs one step.  Permission data is never cached
+by the component layer: the live step re-checks the parent every time.
 
-On top of the component entries sits a **whole-path memo** (``paths``):
-``(components tuple, follow_last) -> (epoch, deps, cred, result)``.  A
-memoized resolution is served in O(1) when the global tree epoch
+A memoized directory is served in O(1) when the global tree epoch
 (:func:`~repro.vfs.inode.tree_epoch`, bumped by every attach/detach and
-every permission change anywhere) has not moved since the entry was
-validated — the seqlock trick Linux plays with ``rename_lock``.  When the
-epoch *has* moved, ``deps`` — one ``(dir, dgen, acl, uid, gid)`` record per
-directory the original walk traversed — is re-checked precisely: any
-directory whose generation, ACL object, or ownership changed kills the
-entry, otherwise the entry is re-stamped with the current epoch.  Because
-:class:`~repro.vfs.acl.Acl` is frozen and only ever *rebound* on an inode,
-identity comparison is an exact permission-change detector; entries are
-additionally keyed to the exact ``Credentials`` object they were resolved
-under, so a hit can never leak a resolution across principals.
+every ``chmod``/``chown``/``setfacl`` anywhere) has not moved since the
+entry was validated — the seqlock trick Linux plays with ``rename_lock``.
+When the epoch *has* moved, ``deps`` — one ``(dir, dgen, acl, uid, gid,
+mode)`` record per directory the resolution stepped through — is
+re-checked precisely: any directory whose generation, ACL object,
+ownership or mode changed kills the entry, otherwise the entry is
+re-stamped with the current epoch.  Because :class:`~repro.vfs.acl.Acl` is
+frozen and only ever *rebound* on an inode, identity comparison is an
+exact ACL-change detector; entries are additionally keyed to the exact
+``Credentials`` object they were resolved under, so a hit can never leak a
+resolution across principals.  Paths containing ``..`` and paths through a
+symlink take the full walk and are never memoized.
 
 File systems with dynamic directory semantics (the distributed-FS client
 refreshes directory contents over RPC inside ``lookup``) opt out via
-``Filesystem.cacheable = False``; the walk never stores entries under
-their directories.
+``Filesystem.cacheable = False``; their paths always take the full walk
+and nothing under their directories is cached.
 """
 
 from __future__ import annotations
@@ -106,8 +112,8 @@ class DentryCache:
         self.capacity = capacity
         self.enabled = True
         self.entries: dict[tuple[int, str], tuple["DirInode", int, "Inode | None"]] = {}
-        #: Whole-path memo: (parts tuple, follow_last) -> (epoch, deps, cred,
-        #: result).  See the module docstring for the validation protocol.
+        #: Directory memo: parts tuple -> (epoch, deps, cred, dir).  See the
+        #: module docstring for the validation protocol.
         self.paths: dict = {}
         self.hits = 0
         self.neg_hits = 0
@@ -140,9 +146,9 @@ class DentryCache:
         """Return the live entry for ``(parent, name)``, or None.
 
         Stale entries (parent ``dgen`` moved on) are dropped and counted as
-        invalidations.  This is the out-of-line twin of the inlined fast
-        path in ``VirtualFileSystem._walk_cached``; tests use it to inspect
-        cache state without resolving.
+        invalidations.  This is the out-of-line twin of the inlined lookup
+        in ``VirtualFileSystem._step``; tests use it to inspect cache state
+        without resolving.
         """
         key = (id(parent), name)
         entry = self.entries.get(key)
@@ -154,18 +160,19 @@ class DentryCache:
             return None
         return entry
 
-    def store_path(self, key, epoch: int, deps, cred, result) -> None:
-        """Memoize a complete successful resolution.
+    def store_path(self, key: tuple[str, ...], epoch: int, deps: tuple, cred, result: "DirInode") -> tuple:
+        """Memoize a directory resolution and return the new entry.
 
-        ``deps`` is the ordered list of ``(dir, dgen, acl, uid, gid)``
-        records for every directory the walk traversed; the entry is valid
-        while the tree epoch stands still or every dep re-checks clean.
+        ``deps`` holds one ``(dir, dgen, acl, uid, gid, mode)`` record per
+        directory the resolution stepped through; the entry is valid while
+        the tree epoch stands still or every dep re-checks clean.
         """
         paths = self.paths
         if len(paths) >= self.capacity:
             paths.pop(next(iter(paths)))
             self.evictions += 1
-        paths[key] = (epoch, deps, cred, result)
+        entry = paths[key] = (epoch, deps, cred, result)
+        return entry
 
     def invalidate(self, parent: "DirInode", name: str) -> None:
         """Drop the entry for ``(parent, name)`` if present."""

@@ -44,7 +44,7 @@ _dev_counter = itertools.count(1)
 #: Tree-wide mutation epoch (the moral equivalent of Linux's ``rename_lock``
 #: sequence count).  Bumped by every attach/detach anywhere and by every
 #: permission change (chmod/chown/setfacl).  While it stands still, *no*
-#: resolution-relevant state has changed, so the dentry cache's whole-path
+#: resolution-relevant state has changed, so the dentry cache's directory
 #: memo can revalidate an entry with one integer compare instead of
 #: re-checking each traversed directory.
 _tree_epoch = 0

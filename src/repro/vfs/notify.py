@@ -64,6 +64,8 @@ class EventMask(enum.IntFlag):
 
 IN_ALL_EVENTS = EventMask.all_events()
 
+_IN_ISDIR = int(EventMask.IN_ISDIR)
+
 #: Linux default for /proc/sys/fs/inotify/max_queued_events.
 DEFAULT_MAX_QUEUED_EVENTS = 16384
 
@@ -152,12 +154,11 @@ class Inotify:
         """
         if not mask:
             raise InvalidArgument(detail="empty watch mask")
-        for watch in self._watches.values():
-            if watch.inode is inode:
+        for watch in self._hub.watches_on(inode):
+            if watch.owner is self:
                 watch.mask = mask
                 return watch.wd
-        wd = self._hub.register(self, inode, mask)
-        return wd
+        return self._hub.register(self, inode, mask)
 
     def rm_watch(self, wd: int) -> None:
         """Remove watch ``wd``; raises InvalidArgument if unknown."""
@@ -238,6 +239,10 @@ class NotifyHub:
         """Allocate a cookie pairing the two halves of a rename."""
         return next(self._cookie_counter)
 
+    def watches_on(self, inode: "Inode") -> list[Watch]:
+        """The live watches on ``inode`` itself, across every instance."""
+        return self._by_inode.get(id(inode), [])
+
     def register(self, owner: Inotify, inode: "Inode", mask: EventMask) -> int:
         """Create a watch; returns the new watch descriptor."""
         wd = next(self._wd_counter)
@@ -261,11 +266,15 @@ class NotifyHub:
         Watches on the node itself see the event with ``name=None``;
         watches on each directory holding a dentry for the node see it with
         the child name — mirroring how fsnotify propagates one level up.
+        Like fsnotify with no marks on the inode, an event nobody watches
+        returns before any mask is built.
         """
-        event_mask = EventMask(mask)
-        self._fanout(inode, event_mask, name, cookie)
+        by_inode = self._by_inode
+        if id(inode) in by_inode:
+            self._fanout(inode, mask, name, cookie)
         for parent, child_name in list(inode.dentries):
-            self._fanout(parent, event_mask, child_name, cookie)
+            if id(parent) in by_inode:
+                self._fanout(parent, mask, child_name, cookie)
 
     def emit_dirent(
         self,
@@ -276,19 +285,20 @@ class NotifyHub:
         cookie: int = 0,
     ) -> None:
         """Deliver a directory-entry event (create/delete/move) by name."""
-        event_mask = EventMask(mask)
-        if child.is_dir:
-            event_mask |= EventMask.IN_ISDIR
-        self._fanout(parent, event_mask, name, cookie)
+        if id(parent) in self._by_inode:
+            self._fanout(parent, mask | _IN_ISDIR if child.is_dir else mask, name, cookie)
 
-    def _fanout(self, inode: "Inode", mask: EventMask, name: str | None, cookie: int) -> None:
+    def _fanout(self, inode: "Inode", mask: int, name: str | None, cookie: int) -> None:
+        # Plain-int bit arithmetic; an EventMask is built only per delivery.
+        mask = int(mask)
+        isdir = mask & _IN_ISDIR
         for watch in list(self._by_inode.get(id(inode), [])):
             if watch.removed:
                 continue
-            wanted = mask & watch.mask
-            if not wanted & ~EventMask.IN_ISDIR:
+            wanted = mask & int(watch.mask)
+            if not wanted & ~_IN_ISDIR:
                 continue
-            delivered = wanted | (mask & EventMask.IN_ISDIR)
+            delivered = EventMask(wanted | isdir)
             watch.owner._deliver(NotifyEvent(wd=watch.wd, mask=delivered, name=name, cookie=cookie))
             if self._counters is not None:
                 self._counters.add("notify.events")

@@ -210,11 +210,10 @@ class VirtualFileSystem:
 
     def _mountpoint_node(self, ns: MountNamespace, cred: Credentials, path: str) -> Inode:
         """Resolve ``path`` without crossing a mount at the final node."""
-        parts = split_path(path)
+        parts = self._split(path)
         if not parts:
             return ns.root_entry.root
-        parent = self._resolve_dir(ns, cred, parts[:-1], path)
-        node = parent.lookup(parts[-1])
+        node = self._parent_of(ns, cred, parts, path).lookup(parts[-1])
         if isinstance(node, SymlinkInode):
             return self.resolve(ns, cred, path)
         return node
@@ -245,163 +244,171 @@ class VirtualFileSystem:
         follow_last: bool = True,
     ) -> Inode:
         """Resolve ``path`` to an inode (symlinks followed; mounts crossed)."""
-        # Tokenizing is pure string work, so memoize it; the tuple doubles
-        # as the dentry cache's whole-path key without a copy.
+        parts = self._split(path)
+        return self._last(ns, cred, self._memo_parent(ns, cred, parts, path), parts, follow_last, path)
+
+    def resolve_parent(self, ns: MountNamespace, cred: Credentials, path: str) -> tuple[DirInode, str]:
+        """Resolve the parent directory of ``path``; return (dir, last name)."""
+        parts = self._split(path)
+        if not parts:
+            raise InvalidArgument(path, "operation on / is not allowed")
+        return self._parent_of(ns, cred, parts, path), validate_name(parts[-1])
+
+    def _split(self, path: str) -> tuple[str, ...]:
+        # Tokenizing is pure string work, so memoize it; the tuple slices
+        # into the directory memo's keys without a copy of the string.
         parts = self._parts_memo.get(path)
         if parts is None:
             parts = tuple(split_path(path))
             if len(self._parts_memo) >= 4096:
                 self._parts_memo.clear()
             self._parts_memo[path] = parts
-        return self._resolve_parts(ns, cred, parts, follow_last, path)
+        return parts
 
-    def resolve_parent(self, ns: MountNamespace, cred: Credentials, path: str) -> tuple[DirInode, str]:
-        """Resolve the parent directory of ``path``; return (dir, last name)."""
-        parts = split_path(path)
-        if not parts:
-            raise InvalidArgument(path, "operation on / is not allowed")
-        parent = self._resolve_dir(ns, cred, parts[:-1], path)
-        return parent, validate_name(parts[-1])
+    def _parent_of(self, ns: MountNamespace, cred: Credentials, parts: tuple[str, ...], path: str) -> DirInode:
+        parent = self._memo_parent(ns, cred, parts, path)
+        if parent is None:
+            parent = require_dir(self._walk_path(ns, cred, parts[:-1], True, path), path)
+        return parent
 
-    def _resolve_dir(self, ns: MountNamespace, cred: Credentials, parts: list[str], path: str) -> DirInode:
-        return require_dir(self._resolve_parts(ns, cred, parts, True, path), path)
+    def _memo_parent(
+        self, ns: MountNamespace, cred: Credentials, parts: tuple[str, ...], path: str
+    ) -> DirInode | None:
+        """The memoized parent directory of ``parts``, or None for the full walk."""
+        if not parts or parts[-1] == ".." or not ns.dcache.enabled:
+            return None
+        entry = self._memo_dir(ns, cred, parts[:-1], path)
+        return None if entry is None else entry[3]
 
-    def _resolve_parts(
+    def _last(
         self,
         ns: MountNamespace,
         cred: Credentials,
-        parts: list[str],
+        parent: DirInode | None,
+        parts: tuple[str, ...],
         follow_last: bool,
-        full_path: str,
+        path: str,
     ) -> Inode:
-        """Walk ``parts`` from the namespace root: path memo, dentry cache, slow path."""
-        dcache = ns.dcache
-        deps: list | None = None
-        key = None
-        if parts and dcache.enabled:
-            key = (tuple(parts), follow_last)
-            entry = dcache.paths.get(key)
-            if entry is not None and entry[2] is cred:
-                epoch = tree_epoch()
-                if entry[0] == epoch:
-                    dcache.path_hits += 1
-                    return entry[3]
-                for dep in entry[1]:
-                    node = dep[0]
-                    if node.dgen != dep[1] or node.acl is not dep[2] or node.uid != dep[3] or node.gid != dep[4]:
-                        del dcache.paths[key]
-                        dcache.invalidations += 1
-                        break
-                else:
-                    # Nothing this resolution depends on moved: re-stamp the
-                    # entry with the current epoch and serve it.
-                    dcache.paths[key] = (epoch, entry[1], cred, entry[3])
-                    dcache.path_hits += 1
-                    return entry[3]
-            dcache.path_misses += 1
-            deps = []
-        stack: list[Inode] = [ns.root_entry.root]
-        consumed = 0
-        if parts and dcache.enabled:
-            consumed = self._walk_cached(ns, cred, stack, parts, full_path, deps)
-        if consumed < len(parts):
-            budget = [MAX_SYMLINK_DEPTH]
-            remaining = parts[consumed:] if consumed else parts
-            self._walk(ns, cred, stack, remaining, follow_last, budget, full_path, deps)
-        result = stack[-1]
-        # Memoize the whole resolution unless a non-cacheable file system
-        # poisoned the dependency list (None marker).
-        if deps and None not in deps:
-            dcache.store_path(key, tree_epoch(), deps, cred, result)
-        return result
+        """Finish a resolution: one live step from ``parent``, else the full walk."""
+        if parent is not None:
+            child = self._step(ns, cred, parent, parts[-1], path)
+            if child is not None and not (follow_last and isinstance(child, SymlinkInode)):
+                return child
+        return self._walk_path(ns, cred, parts, follow_last, path)
 
-    def _walk_cached(
-        self,
-        ns: MountNamespace,
-        cred: Credentials,
-        stack: list[Inode],
-        parts: list[str],
-        full_path: str,
-        deps: list | None = None,
-    ) -> int:
-        """Consume a prefix of ``parts`` from the namespace's dentry cache.
+    def _memo_dir(self, ns: MountNamespace, cred: Credentials, parts: tuple[str, ...], path: str) -> tuple | None:
+        """Resolve directory ``parts`` through the namespace's directory memo.
 
-        Returns the number of components consumed (``stack`` is extended in
-        place); the slow walk picks up from there.  Cached entries are never
-        symlinks and already sit on the far side of any mount crossing, so a
-        hit replaces lookup + symlink test + mount-table probe with one dict
-        probe and a generation compare.  MAY_EXEC is still enforced on every
-        traversed directory against the live inode — only *lookups* are
-        memoized, never permissions.
+        Returns the memo entry ``(epoch, deps, cred, dir)``, or None when
+        the prefix holds a ``..``, a symlink or a non-cacheable file system
+        and must take the full walk.  A miss resolves the parent prefix the
+        same way (recursively) and takes one live step, so a new directory
+        costs one step however deep it sits.
         """
+        if not parts:
+            return (0, (), cred, ns.root_entry.root)
         dcache = ns.dcache
-        entries = dcache.entries
-        entries_get = entries.get
-        is_root = cred.is_root
-        check_access = self.check_access
-        hits = 0
-        index = 0
-        for index, part in enumerate(parts):
-            if part == "..":
-                break
-            current = stack[-1]
-            entry = entries_get((id(current), part))
-            if entry is None or entry[0] is not current:
-                break
-            if entry[1] != current.dgen:
-                del entries[(id(current), part)]
-                dcache.invalidations += 1
-                break
-            if current.acl is not None or not is_root:
-                check_access(current, cred, MAY_EXEC, full_path)
-            if deps is not None:
-                deps.append((current, entry[1], current.acl, current.uid, current.gid))
-            child = entry[2]
-            if child is None:
-                dcache.hits += hits
-                dcache.neg_hits += 1
-                raise FileNotFound(part)
-            hits += 1
-            stack.append(child)
-        else:
-            dcache.hits += hits
-            return len(parts)
-        dcache.hits += hits
+        entry = dcache.paths.get(parts)
+        if entry is not None and entry[2] is cred:
+            epoch = tree_epoch()
+            if entry[0] == epoch:
+                dcache.path_hits += 1
+                return entry
+            for node, dgen, acl, uid, gid, mode in entry[1]:
+                if node.dgen != dgen or node.acl is not acl or node.uid != uid or node.gid != gid or node.mode != mode:
+                    del dcache.paths[parts]
+                    dcache.invalidations += 1
+                    break
+            else:
+                # Nothing this resolution depends on moved: re-stamp the
+                # entry with the current epoch and serve it.
+                entry = (epoch, entry[1], cred, entry[3])
+                dcache.paths[parts] = entry
+                dcache.path_hits += 1
+                return entry
+        dcache.path_misses += 1
+        name = parts[-1]
+        if name == "..":
+            return None
+        up = self._memo_dir(ns, cred, parts[:-1], path)
+        if up is None:
+            return None
+        parent = up[3]
+        dep = (parent, parent.dgen, parent.acl, parent.uid, parent.gid, parent.mode)
+        child = self._step(ns, cred, parent, name, path)
+        if child is None or isinstance(child, SymlinkInode):
+            return None
+        return dcache.store_path(parts, tree_epoch(), (*up[1], dep), cred, require_dir(child, path))
+
+    def _step(self, ns: MountNamespace, cred: Credentials, parent: DirInode, name: str, path: str) -> Inode | None:
+        """Look ``name`` up in ``parent``: the live last-component step.
+
+        MAY_EXEC is checked on the live ``parent`` every time; only the
+        lookup is served from the component cache.  The child comes back
+        on the far side of any mount.  Returns None when ``parent`` is on a
+        non-cacheable file system, whose paths take the full walk.
+        """
+        if not parent.fs.cacheable:
+            return None
+        if parent.acl is not None or not cred.is_root:
+            self.check_access(parent, cred, MAY_EXEC, path)
+        dcache = ns.dcache
+        key = (id(parent), name)
+        entry = dcache.entries.get(key)
+        if entry is not None and entry[0] is parent:
+            if entry[1] == parent.dgen:
+                child = entry[2]
+                if child is None:
+                    dcache.neg_hits += 1
+                    raise FileNotFound(name)
+                dcache.hits += 1
+                return child
+            del dcache.entries[key]
+            dcache.invalidations += 1
         dcache.misses += 1
-        return index
+        try:
+            child = parent.lookup(name)
+        except FileNotFound:
+            dcache.store(parent, name, None)
+            raise
+        if isinstance(child, SymlinkInode):
+            # Never cached: whether a symlink is followed depends on its
+            # position and follow_last, which the key cannot express.
+            return child
+        mount = ns.mount_at(child)
+        while mount is not None:  # cross stacked mounts to the topmost root
+            child = mount.root
+            mount = ns.mount_at(child)
+        dcache.store(parent, name, child)
+        return child
+
+    def _walk_path(
+        self, ns: MountNamespace, cred: Credentials, parts: tuple[str, ...], follow_last: bool, path: str
+    ) -> Inode:
+        """The full walk from the namespace root, with no cache involved."""
+        stack: list[Inode] = [ns.root_entry.root]
+        self._walk(ns, cred, stack, parts, follow_last, [MAX_SYMLINK_DEPTH], path)
+        return stack[-1]
 
     def _walk(
         self,
         ns: MountNamespace,
         cred: Credentials,
         stack: list[Inode],
-        parts: list[str],
+        parts: tuple[str, ...] | list[str],
         follow_last: bool,
         budget: list[int],
         full_path: str,
-        deps: list | None = None,
     ) -> None:
-        dcache = ns.dcache
         for index, part in enumerate(parts):
             is_last = index == len(parts) - 1
-            current = stack[-1]
-            cur_dir = require_dir(current, full_path)
+            cur_dir = require_dir(stack[-1], full_path)
             self.check_access(cur_dir, cred, MAY_EXEC, full_path)
-            if deps is not None:
-                if cur_dir.fs.cacheable:
-                    deps.append((cur_dir, cur_dir.dgen, cur_dir.acl, cur_dir.uid, cur_dir.gid))
-                else:
-                    deps.append(None)  # poison: this resolution may not be memoized
             if part == "..":
                 if len(stack) > 1:
                     stack.pop()
                 continue
-            try:
-                child = cur_dir.lookup(part)
-            except FileNotFound:
-                if dcache.enabled and cur_dir.fs.cacheable:
-                    dcache.store(cur_dir, part, None)
-                raise
+            child = cur_dir.lookup(part)
             if isinstance(child, SymlinkInode) and (not is_last or follow_last):
                 budget[0] -= 1
                 if budget[0] < 0:
@@ -409,17 +416,13 @@ class VirtualFileSystem:
                 target_parts = [p for p in child.target.split("/") if p and p != "."]
                 if child.target.startswith("/"):
                     del stack[1:]
-                self._walk(ns, cred, stack, target_parts, True, budget, full_path, deps)
+                self._walk(ns, cred, stack, target_parts, True, budget, full_path)
                 continue
             mount = ns.mount_at(child)
             while mount is not None:  # cross stacked mounts to the topmost root
                 child = mount.root
                 mount = ns.mount_at(child)
             stack.append(child)
-            # Symlinks are never cached: whether they are followed depends
-            # on position and follow_last, which the key cannot express.
-            if dcache.enabled and cur_dir.fs.cacheable and not isinstance(child, SymlinkInode):
-                dcache.store(cur_dir, part, child)
 
     # -- permissions ---------------------------------------------------------------
 
@@ -523,12 +526,18 @@ class VirtualFileSystem:
     ) -> FileHandle:
         """Open (optionally creating) a regular file."""
         created = False
+        parts = self._split(path)
+        parent = self._memo_parent(ns, cred, parts, path)
         try:
-            node = self.resolve(ns, cred, path)
+            node = self._last(ns, cred, parent, parts, True, path)
         except FileNotFound:
             if not flags & O_CREAT:
                 raise
-            parent, name = self.resolve_parent(ns, cred, path)
+            # Create under the parent the lookup already resolved.
+            if parent is None:
+                parent, name = self.resolve_parent(ns, cred, path)
+            else:
+                name = validate_name(parts[-1])
             if parent.has_child(name):
                 # The final component resolved to a dangling symlink.
                 raise FileExists(path, "dangling symlink in the way")
@@ -697,6 +706,7 @@ class VirtualFileSystem:
         if not cred.is_root and cred.uid != node.uid:
             raise NotPermitted(path, "chmod by non-owner")
         node.mode = mode & 0o7777
+        bump_tree_epoch()  # mode bits gate MAY_EXEC; wake the directory memo
         node.ctime = node.fs.now()
         node.fs.emit(node, EventMask.IN_ATTRIB)
 
@@ -709,7 +719,7 @@ class VirtualFileSystem:
             node.gid = gid
         else:
             raise NotPermitted(path, "chown requires root")
-        bump_tree_epoch()  # ownership feeds ACL checks; wake the path memo
+        bump_tree_epoch()  # ownership feeds ACL checks; wake the directory memo
         node.ctime = node.fs.now()
         node.fs.emit(node, EventMask.IN_ATTRIB)
 
@@ -719,7 +729,7 @@ class VirtualFileSystem:
         if not cred.is_root and cred.uid != node.uid:
             raise NotPermitted(path, "setfacl by non-owner")
         node.acl = acl
-        bump_tree_epoch()  # ACL rebound; path-memo entries must revalidate
+        bump_tree_epoch()  # ACL rebound; directory-memo entries must revalidate
         node.ctime = node.fs.now()
         node.fs.emit(node, EventMask.IN_ATTRIB)
 

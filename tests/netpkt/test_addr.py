@@ -70,3 +70,10 @@ def test_cidr_bare_address_is_host_route():
 def test_cidr_rejects_host_bits():
     with pytest.raises(ValueError):
         cidr("10.0.0.1/8")
+    with pytest.raises(ValueError):
+        cidr("192.168.1.7/24")
+
+
+def test_cidr_returns_a_network_unchanged():
+    network = cidr("10.0.0.0/8")
+    assert cidr(network) is network

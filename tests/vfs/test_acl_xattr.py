@@ -103,6 +103,39 @@ def test_root_always_passes_acl():
     assert acl.check(Credentials(uid=0, gid=0), 1, 1, 7)
 
 
+def test_acl_decisions_are_memoized_per_principal():
+    acl = Acl.from_mode(0o750)
+    assert acl.check(ALICE, 1000, 1000, 7)
+    assert not acl.check(BOB, 1000, 1000, 1)
+    assert len(acl._decisions) == 2
+    for _ in range(3):  # repeats are served from the memo, same answers
+        assert acl.check(ALICE, 1000, 1000, 7)
+        assert not acl.check(BOB, 1000, 1000, 1)
+    assert len(acl._decisions) == 2
+    # the owner and the wanted bits are part of the key
+    assert not acl.check(ALICE, 1001, 1001, 7)
+    assert acl.check(ALICE, 1001, 1000, 5)
+    assert not acl.check(ALICE, 1001, 1000, 2)
+    assert len(acl._decisions) == 5
+
+
+def test_acl_decision_memo_skips_root_and_is_bounded():
+    acl = Acl.from_mode(0o000)
+    assert acl.check(Credentials(uid=0, gid=0), 1, 1, 7)
+    assert acl._decisions == {}
+    for uid in range(1, 3000):
+        assert not acl.check(Credentials(uid=uid, gid=uid), 0, 0, 4)
+    assert 0 < len(acl._decisions) <= 1024
+
+
+def test_acl_equality_ignores_the_decision_memo():
+    warm = Acl.from_mode(0o750)
+    warm.check(ALICE, 1000, 1000, 7)
+    cold = Acl.from_mode(0o750)
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+
+
 def test_acl_text_roundtrip():
     acl = Acl(
         entries=(

@@ -16,6 +16,7 @@ from repro.vfs import (
     MemFs,
     PermissionDenied,
     Syscalls,
+    VirtualFileSystem,
 )
 from repro.vfs.inode import require_dir
 
@@ -44,10 +45,12 @@ def test_component_entries_shared_across_sibling_paths(sc):
     sc.write_text("/a/b/one", "1")
     sc.write_text("/a/b/two", "2")
     assert sc.read_text("/a/b/one") == "1"
-    before = sc.ns.dcache.hits
-    # a different leaf under the same prefix re-uses the /a and /a/b entries
+    before = sc.ns.dcache.stats()
+    # a different leaf under the same prefix re-uses the memoized /a/b
     assert sc.read_text("/a/b/two") == "2"
-    assert sc.ns.dcache.hits >= before + 2
+    after = sc.ns.dcache.stats()
+    assert after["path_hits"] > before["path_hits"]
+    assert after["path_misses"] == before["path_misses"]
 
 
 def test_lookup_twin_reports_live_entries(sc):
@@ -177,6 +180,160 @@ def test_acl_change_on_intermediate_dir_is_enforced(vfs, sc):
     with pytest.raises(PermissionDenied):
         user.stat("/p/q/f")
     assert sc.read_text("/p/q/f") == "secret"  # root still passes
+
+
+def test_chmod_on_intermediate_dir_is_enforced(vfs, sc):
+    sc.makedirs("/a/b")
+    sc.write_text("/a/b/f", "secret")
+    user = Syscalls(vfs, cred=Credentials(uid=1000, gid=1000))
+    assert user.read_text("/a/b/f") == "secret"
+    assert user.read_text("/a/b/f") == "secret"  # memoized under user's cred
+    sc.chmod("/a", 0o700)  # root-only from now on
+    with pytest.raises(PermissionDenied):
+        user.read_text("/a/b/f")
+    fresh = Syscalls(vfs, cred=Credentials(uid=1000, gid=1000))
+    with pytest.raises(PermissionDenied):
+        fresh.read_text("/a/b/f")
+
+
+# -- the directory memo: memoized parent plus one live step --------------------
+
+
+def _user_owned_tree(vfs, sc):
+    """/a and /a/b owned by uid 1000, mode 0700; the user memoized /a/b."""
+    sc.makedirs("/a/b")
+    sc.write_text("/a/b/f", "old leaf")
+    for path in ("/a", "/a/b"):
+        sc.chown(path, 1000, 1000)
+        sc.chmod(path, 0o700)
+    user = Syscalls(vfs, cred=Credentials(uid=1000, gid=1000))
+    assert user.read_text("/a/b/f") == "old leaf"
+    user.write_text("/a/b/new", "new leaf")
+    assert sc.ns.dcache.paths[("a", "b")][2] is user.cred
+    return user
+
+
+@pytest.mark.parametrize("target", ["/a", "/a/b"])
+@pytest.mark.parametrize(
+    "revoke",
+    [
+        lambda sc, path: sc.chmod(path, 0o000),
+        lambda sc, path: sc.chown(path, 0, 0),
+        lambda sc, path: sc.set_acl(path, Acl.from_mode(0o000)),
+    ],
+    ids=["chmod", "chown", "set_acl"],
+)
+def test_permission_change_on_memoized_parent_denies_a_new_leaf(vfs, sc, target, revoke):
+    user = _user_owned_tree(vfs, sc)
+    revoke(sc, target)
+    assert sc.ns.dcache.paths[("a", "b")][2] is user.cred  # memo still holds it
+    with pytest.raises(PermissionDenied):
+        user.read_text("/a/b/new")
+    with pytest.raises(PermissionDenied):
+        user.read_text("/a/b/f")
+    assert sc.read_text("/a/b/new") == "new leaf"  # root still passes
+
+
+def test_new_leaf_reuses_the_memoized_parent(sc):
+    sc.makedirs("/net/switches/s1/flows")
+    sc.write_text("/net/switches/s1/flows/f0", "0")
+    before = sc.ns.dcache.stats()
+    for i in range(1, 4):
+        sc.write_text(f"/net/switches/s1/flows/f{i}", str(i))
+        assert sc.read_text(f"/net/switches/s1/flows/f{i}") == str(i)
+    after = sc.ns.dcache.stats()
+    assert after["path_misses"] == before["path_misses"]
+    assert after["path_hits"] > before["path_hits"]
+
+
+def test_negative_entry_under_a_memoized_parent(sc):
+    sc.makedirs("/spool/q")
+    sc.stat("/spool/q")
+    with pytest.raises(FileNotFound):
+        sc.stat("/spool/q/job")
+    before = sc.ns.dcache.stats()
+    with pytest.raises(FileNotFound):
+        sc.stat("/spool/q/job")
+    after = sc.ns.dcache.stats()
+    assert after["neg_hits"] == before["neg_hits"] + 1
+    assert after["path_misses"] == before["path_misses"]
+    sc.write_text("/spool/q/job", "queued")
+    assert sc.read_text("/spool/q/job") == "queued"
+
+
+def test_open_creat_under_a_missing_parent_still_fails(sc):
+    sc.mkdir("/d")
+    with pytest.raises(FileNotFound):
+        sc.write_text("/d/missing/f", "x")
+    assert not sc.exists("/d/missing")
+
+
+def test_symlink_as_last_component(sc):
+    sc.makedirs("/v1")
+    sc.makedirs("/v2")
+    sc.write_text("/v1/data", "one")
+    sc.write_text("/v2/data", "two")
+    sc.symlink("/v1/data", "/v1/link")
+    for _ in range(2):
+        assert sc.readlink("/v1/link") == "/v1/data"
+        assert sc.read_text("/v1/link") == "one"
+        assert sc.lstat("/v1/link").ftype != sc.stat("/v1/link").ftype
+    sc.unlink("/v1/link")
+    sc.symlink("/v2/data", "/v1/link")
+    assert sc.read_text("/v1/link") == "two"
+    sc.unlink("/v2/data")
+    with pytest.raises(FileNotFound):
+        sc.read_text("/v1/link")
+    assert not any(key[-1] == "link" for key in sc.ns.dcache.paths)
+
+
+def test_symlinked_directory_is_never_memoized(sc):
+    sc.makedirs("/v1")
+    sc.write_text("/v1/data", "one")
+    sc.symlink("/v1", "/current")
+    for _ in range(2):
+        assert sc.read_text("/current/data") == "one"
+    assert ("current",) not in sc.ns.dcache.paths
+
+
+def test_mountpoint_as_last_component(sc):
+    sc.mkdir("/m")
+    under = sc.stat("/m")
+    sc.mount("/m", MemFs())
+    mounted = sc.stat("/m")
+    assert mounted.dev != under.dev
+    assert sc.stat("/m").dev == mounted.dev  # served by the component cache
+    sc.umount("/m")
+    assert sc.stat("/m").dev == under.dev
+
+
+def test_dotdot_paths_take_the_full_walk(sc):
+    sc.makedirs("/a/b")
+    sc.makedirs("/a/c")
+    sc.write_text("/a/c/f", "via dotdot")
+    for _ in range(2):
+        assert sc.read_text("/a/b/../c/f") == "via dotdot"
+    with pytest.raises(FileNotFound):
+        sc.stat("/a/b/../missing")
+    assert sc.stat("/a/b/..").ino == sc.stat("/a").ino
+    assert not any(".." in key for key in sc.ns.dcache.paths)
+
+
+def test_distfs_paths_are_never_memoized():
+    from repro.distfs import FileServer, RemoteFs, RpcChannel
+
+    server_sc = Syscalls(VirtualFileSystem())
+    server_sc.makedirs("/export/docs/deep")
+    server_sc.write_text("/export/docs/deep/f", "remote")
+    client_vfs = VirtualFileSystem()
+    client = Syscalls(client_vfs)
+    client.mkdir("/mnt")
+    client.mount("/mnt", RemoteFs(RpcChannel(FileServer(server_sc, "/export").handle)))
+    for _ in range(2):
+        assert client.read_text("/mnt/docs/deep/f") == "remote"
+    assert set(client.ns.dcache.paths) <= {("mnt",)}
+    server_sc.write_text("/export/docs/deep/f", "changed")
+    assert client.read_text("/mnt/docs/deep/f") == "changed"
 
 
 # -- namespace scoping --------------------------------------------------------

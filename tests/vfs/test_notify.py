@@ -125,6 +125,37 @@ def test_rewatch_same_inode_returns_same_wd(sc):
     assert _events(sc, ino) == []  # mask was replaced
 
 
+def test_rewatch_is_per_instance(sc):
+    sc.mkdir("/d")
+    first = sc.inotify_init()
+    second = sc.inotify_init()
+    wd1 = sc.inotify_add_watch(first, "/d", EventMask.IN_CREATE)
+    wd2 = sc.inotify_add_watch(second, "/d", EventMask.IN_DELETE)
+    assert wd1 != wd2
+    assert sc.inotify_add_watch(second, "/d", EventMask.IN_CREATE) == wd2
+    assert sc.inotify_add_watch(first, "/d", EventMask.IN_CREATE) == wd1
+    assert len(sc.vfs.hub.watches_on(sc.vfs.resolve(sc.ns, sc.cred, "/d"))) == 2
+    sc.mkdir("/d/x")
+    assert [e.wd for e in _events(sc, first)] == [wd1]
+    assert [e.wd for e in _events(sc, second)] == [wd2]
+
+
+def test_unwatched_child_of_watched_dir_reports_its_name(sc):
+    sc.makedirs("/d/sub")
+    sc.write_text("/d/f", "x")
+    sc.write_text("/elsewhere", "x")
+    ino = sc.inotify_init()
+    wd = sc.inotify_add_watch(ino, "/d", IN_ALL_EVENTS)
+    sc.write_text("/elsewhere", "y")  # nobody watches this inode or its parent
+    assert _events(sc, ino) == []
+    sc.write_text("/d/f", "changed")
+    sc.chmod("/d/sub", 0o700)
+    events = [(e.wd, e.mask, e.name) for e in _events(sc, ino)]
+    assert (wd, EventMask.IN_MODIFY, "f") in events
+    assert (wd, EventMask.IN_ATTRIB, "sub") in events
+    assert all(type(mask) is EventMask for _wd, mask, _name in events)
+
+
 def test_wakeup_fires_once_per_batch(sc):
     sc.mkdir("/d")
     ino = sc.inotify_init()
