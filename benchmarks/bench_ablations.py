@@ -16,6 +16,7 @@ from repro.perf import SyscallMeter
 from repro.runtime import ControllerHost, YancController
 from repro.sim import Simulator
 from repro.vfs import EventMask
+from repro.vfs.cred import ROOT
 
 N_COMMITS = 20
 
@@ -25,8 +26,8 @@ def test_a1_notify_vs_polling(benchmark):
     poller pays a full scan per period whether anything changed or not."""
     # -- event-driven watcher
     host = ControllerHost(Simulator())
+    host.client(cred=ROOT).create_switch("sw1")  # switch creation is a driver right
     client = host.client()
-    client.create_switch("sw1")
     watcher_meter = SyscallMeter()
     watcher = host.root_sc.spawn(meter=watcher_meter)
     ino = watcher.inotify_init()
@@ -39,8 +40,8 @@ def test_a1_notify_vs_polling(benchmark):
 
     # -- polling scanner: 50 scan rounds to observe the same 20 commits
     host2 = ControllerHost(Simulator())
+    host2.client(cred=ROOT).create_switch("sw1")
     client2 = host2.client()
-    client2.create_switch("sw1")
     poller_meter = SyscallMeter()
     poller = host2.root_sc.spawn(meter=poller_meter)
     seen: set[str] = set()
@@ -80,7 +81,7 @@ def test_a2_commit_batching(benchmark):
         yc = ctl.client()
         sent_before = ctl.drivers[0].flow_mods_sent
         path = yc.flow_path("sw1", "f")
-        ctl.host.root_sc.mkdir(path)
+        yc.sc.mkdir(path)  # staged by the app that commits it
         fields = [
             ("match.dl_type", "0x800"),
             ("match.nw_proto", "6"),
@@ -89,7 +90,7 @@ def test_a2_commit_batching(benchmark):
             ("priority", "40"),
         ]
         for name, value in fields:
-            ctl.host.root_sc.write_text(f"{path}/{name}", value)
+            yc.sc.write_text(f"{path}/{name}", value)
             if not batched:
                 yc.commit_flow("sw1", "f")
                 ctl.run(0.05)

@@ -18,6 +18,7 @@ from repro.dataplane import Match, Output
 from repro.perf import FUSE_COST_MODEL, SyscallMeter
 from repro.runtime import ControllerHost
 from repro.sim import Simulator
+from repro.vfs.cred import ROOT
 from repro.yancfs import YancClient
 
 FLEET_SIZES = (10, 100, 500, 1000, 2000)
@@ -25,7 +26,7 @@ FLEET_SIZES = (10, 100, 500, 1000, 2000)
 
 def _host_with_switches(count: int) -> ControllerHost:
     host = ControllerHost(Simulator())
-    client = host.client()
+    client = host.client(cred=ROOT)  # switch creation is a driver right
     for index in range(count):
         client.create_switch(f"sw{index + 1}")
     return host

@@ -20,13 +20,16 @@ from repro.libyanc import LibYanc, ShmRing
 from repro.perf import FUSE_COST_MODEL, SHM_COST_MODEL, PerfCounters, SyscallMeter
 from repro.runtime import ControllerHost
 from repro.sim import Simulator
+from repro.vfs.cred import ROOT
 
 N_FLOWS = 200
 
 
 def _host() -> ControllerHost:
     host = ControllerHost(Simulator())
-    host.client().create_switch("sw1")
+    # Switch creation is a driver right; an admin (root) client stands in
+    # for the driver that would normally create sw1.
+    host.client(cred=ROOT).create_switch("sw1")
     return host
 
 
@@ -46,7 +49,8 @@ def test_flow_install_file_path_vs_libyanc(benchmark):
 
     lib = LibYanc(host.fs)
     for index in range(N_FLOWS):
-        lib.create_flow("sw1", f"shm{index}", Match(dl_vlan=index), [Output(1)], priority=9)
+        lib.stage_flow("sw1", f"shm{index}", Match(dl_vlan=index), [Output(1)], priority=9)
+    assert len(lib.flush()) == N_FLOWS  # one flush commits the whole table
     lib_ops = lib.counters.get("libyanc.op")
 
     file_time = FUSE_COST_MODEL.syscall_time(file_syscalls)
@@ -68,7 +72,12 @@ def test_flow_install_file_path_vs_libyanc(benchmark):
     assert file_ctxsw >= 10 * max(1, ring_ctxsw)
     # wall-clock comparison of one install each
     counter = iter(range(10**6))
-    benchmark(lambda: lib.create_flow("sw1", f"bench{next(counter)}", Match(dl_vlan=1), [Output(1)]))
+
+    def install():
+        lib.stage_flow("sw1", f"bench{next(counter)}", Match(dl_vlan=1), [Output(1)])
+        lib.flush()
+
+    benchmark(install)
 
 
 def test_libyanc_atomicity_one_event_burst(benchmark):
@@ -84,7 +93,8 @@ def test_libyanc_atomicity_one_event_burst(benchmark):
     counter = iter(range(10**6))
 
     def create():
-        lib.create_flow("sw1", f"atomic{next(counter)}", Match(dl_vlan=5, dl_type=0x800), [Output(2)], priority=3)
+        lib.stage_flow("sw1", f"atomic{next(counter)}", Match(dl_vlan=5, dl_type=0x800), [Output(2)], priority=3)
+        lib.flush()
 
     benchmark(create)
     events = sc.inotify_read(ino)

@@ -14,6 +14,7 @@ from conftest import print_table
 from repro.runtime import ControllerHost
 from repro.sim import Simulator
 from repro.vfs import EventMask
+from repro.vfs.cred import ROOT
 
 
 def test_delivery_throughput_single_watch(benchmark):
@@ -77,12 +78,13 @@ def test_driver_style_watchset_over_large_tree(benchmark):
     delivered selectively and promptly."""
     host = ControllerHost(Simulator())
     sc = host.root_sc
+    admin = host.client(cred=ROOT)  # switch creation is a driver right
     client = host.client()
     ino = sc.inotify_init()
     wd_to_switch = {}
     for index in range(100):
         name = f"sw{index + 1}"
-        client.create_switch(name)
+        admin.create_switch(name)
         wd = sc.inotify_add_watch(ino, f"/net/switches/{name}/flows", EventMask.IN_CREATE)
         wd_to_switch[wd] = name
     from repro.dataplane import Match, Output

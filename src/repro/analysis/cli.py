@@ -26,6 +26,10 @@ Six subcommands share one entry point:
   reference monitor runs the workload instead and reports isolation
   violations plus the (uid, namespace, prefix) access tuples.
 
+The four path analyzers are rows of one :data:`TOOLS` table and share
+one parser builder and one main; the three workload runners (``race``,
+``--explore``, ``--monitor``) share :func:`run_workload`.
+
 Exit-code discipline (:class:`ExitCode`, shared by every subcommand):
 
 * ``0`` — clean;
@@ -38,14 +42,19 @@ from __future__ import annotations
 
 import argparse
 import enum
+import functools
+import importlib
 import json
+import os
 import runpy
 import sys
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.analysis import baselines
 from repro.analysis.core import all_rules
 from repro.analysis.runner import analyze_paths, exit_code, format_findings
+from repro.vfs.trace import Subscriber
 
 
 class ExitCode(enum.IntEnum):
@@ -62,6 +71,14 @@ def usage_error(tool: str, *lines: str) -> int:
     for line in lines:
         print(f"{tool}: {line}", file=sys.stderr)
     return ExitCode.USAGE
+
+
+#: The reporting flags every subcommand but yanclint takes: (flag, options).
+_REPORT_FLAGS: tuple[tuple[str, dict], ...] = (
+    ("--json", dict(action="store_true", help="emit findings as JSON")),
+    ("--baseline", dict(help="JSON findings file; only findings not in it fail the run")),
+    ("--out", dict(help="write the findings JSON to this file as well")),
+)
 
 
 def report_findings(
@@ -98,6 +115,41 @@ def report_findings(
     return ExitCode.FINDINGS if fresh else ExitCode.CLEAN
 
 
+def run_workload(
+    tool: str, subscriber: Subscriber, script: str, script_args: list[str], *, env: dict[str, str] | None = None
+) -> bool:
+    """Run ``script`` as ``__main__`` with ``subscriber`` attached.
+
+    ``sys.argv`` (and any ``env`` overrides) hold for the run and are
+    restored afterwards.  Returns False, after saying so on stderr, when
+    the workload exits non-zero — the caller's ``INTERNAL``.
+    """
+    env = env or {}
+    subscriber.install()
+    saved_argv = sys.argv
+    saved_env = {name: os.environ.get(name) for name in env}
+    os.environ.update(env)
+    sys.argv = [script, *script_args]
+    try:
+        runpy.run_path(script, run_name="__main__")
+    except SystemExit as exc:
+        if exc.code not in (None, 0):
+            print(f"{tool}: workload exited with {exc.code}", file=sys.stderr)
+            return False
+    finally:
+        sys.argv = saved_argv
+        for name, value in saved_env.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
+        subscriber.uninstall()
+    return True
+
+
+# -- yanclint (the default subcommand) ------------------------------------------------
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="yanclint",
@@ -111,346 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text", help="diagnostic output format")
     parser.add_argument("--json", action="store_true", help="shorthand for --format json")
     return parser
-
-
-def build_race_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="yancrace",
-        description="Run a Python workload under the happens-before race "
-        "detector and report unsynchronized accesses, torn commits, and "
-        "reads of uncommitted flow state.",
-    )
-    parser.add_argument("workload", help="Python script to execute (e.g. examples/quickstart.py)")
-    parser.add_argument("workload_args", nargs="*", help="arguments passed to the workload")
-    parser.add_argument("--json", action="store_true", help="emit findings as JSON")
-    parser.add_argument("--baseline", help="JSON findings file; only findings not in it fail the run")
-    parser.add_argument("--out", help="write the findings JSON to this file as well")
-    return parser
-
-
-def _finding_key(record: dict) -> tuple:
-    return (record.get("kind", ""), record.get("path", ""), tuple(record.get("sites", ())))
-
-
-def build_yancpath_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="yancpath",
-        description="Whole-program path & typestate analysis: every syscall "
-        "site's path is checked against a namespace grammar derived from "
-        "yancfs/schema.py, plus §3.4 commit-protocol and fd-lifecycle "
-        "typestate checks.",
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src", "examples"], help="files or directories to analyze"
-    )
-    parser.add_argument("--json", action="store_true", help="emit findings as JSON")
-    parser.add_argument("--baseline", help="JSON findings file; only findings not in it fail the run")
-    parser.add_argument("--out", help="write the findings JSON to this file as well")
-    return parser
-
-
-def race_main(argv: list[str]) -> int:
-    """yancrace subcommand; returns the process exit code."""
-    args = build_race_parser().parse_args(argv)
-    from repro.analysis.race import RaceDetector
-
-    detector = RaceDetector().install()
-    saved_argv = sys.argv
-    sys.argv = [args.workload, *args.workload_args]
-    try:
-        runpy.run_path(args.workload, run_name="__main__")
-    except SystemExit as exc:
-        if exc.code not in (None, 0):
-            print(f"yancrace: workload exited with {exc.code}", file=sys.stderr)
-            return ExitCode.INTERNAL
-    finally:
-        sys.argv = saved_argv
-        detector.uninstall()
-    findings = [f.to_json() for f in detector.check()]
-    detector.reset()
-    return report_findings(
-        "yancrace",
-        findings,
-        as_json=args.json,
-        baseline=args.baseline,
-        out=args.out,
-        key=_finding_key,
-        render=lambda rec, marker: f"yancrace [{rec['kind']}]{marker} {rec['detail']}",
-    )
-
-
-def _yancpath_key(record: dict) -> tuple:
-    return (record.get("rule", ""), record.get("path", ""), record.get("line", 0))
-
-
-def yancpath_main(argv: list[str]) -> int:
-    """yancpath subcommand; returns the process exit code."""
-    args = build_yancpath_parser().parse_args(argv)
-    from repro.analysis.yancpath.checker import analyze_yancpath
-
-    findings = analyze_yancpath(list(args.paths))
-    records = [f.__dict__ | {"severity": f.severity.label} for f in findings]
-    return report_findings(
-        "yancpath",
-        records,
-        as_json=args.json,
-        baseline=args.baseline,
-        out=args.out,
-        key=_yancpath_key,
-        render=lambda rec, marker: (
-            f"{rec['path']}:{rec['line']}:{rec['col']}: "
-            f"{rec['severity']} [{rec['rule']}]{marker} {rec['message']}"
-        ),
-    )
-
-
-def build_yancperf_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="yancperf",
-        description="Interprocedural syscall-cost analysis: per-function "
-        "cost polynomials (loop-depth multipliers, callee rollup) plus "
-        "syscall-amplification findings (syscall-in-loop, path-reresolve, "
-        "linear-table-scan, chatty-rpc, readdir-then-stat).",
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src", "examples"], help="files or directories to analyze"
-    )
-    parser.add_argument("--json", action="store_true", help="emit findings as JSON")
-    parser.add_argument("--baseline", help="JSON findings file; only findings not in it fail the run")
-    parser.add_argument("--out", help="write the findings JSON to this file as well")
-    parser.add_argument(
-        "--report", action="store_true", help="rank functions by estimated syscalls per call"
-    )
-    parser.add_argument(
-        "--top", type=int, default=30, metavar="N", help="rows shown by --report (default 30)"
-    )
-    parser.add_argument(
-        "--calibrate",
-        action="store_true",
-        help="boot the quickstart topology and check static bounds against live meter counts",
-    )
-    return parser
-
-
-def yancperf_main(argv: list[str]) -> int:
-    """yancperf subcommand; returns the process exit code."""
-    args = build_yancperf_parser().parse_args(argv)
-    if args.report and args.calibrate:
-        return usage_error("yancperf", "--report and --calibrate are mutually exclusive")
-    if args.report:
-        from repro.analysis.yancperf.report import cost_report, render_report
-
-        rows = cost_report(list(args.paths))
-        if args.json:
-            print(json.dumps([row.to_json() for row in rows[: args.top]], indent=2))
-        else:
-            print(render_report(rows, top=args.top))
-        return ExitCode.CLEAN
-    if args.calibrate:
-        from repro.analysis.yancperf.calibrate import render_calibration, run_calibration
-
-        rows = run_calibration(list(args.paths))
-        if args.json:
-            print(json.dumps([row.to_json() for row in rows], indent=2))
-        else:
-            print(render_calibration(rows))
-        return ExitCode.CLEAN if all(row.ok for row in rows) else ExitCode.FINDINGS
-    from repro.analysis.yancperf.checker import analyze_yancperf
-
-    findings = analyze_yancperf(list(args.paths))
-    records = [f.__dict__ | {"severity": f.severity.label} for f in findings]
-    return report_findings(
-        "yancperf",
-        records,
-        as_json=args.json,
-        baseline=args.baseline,
-        out=args.out,
-        key=_yancpath_key,  # same (rule, path, line) identity as yancpath
-        render=lambda rec, marker: (
-            f"{rec['path']}:{rec['line']}:{rec['col']}: "
-            f"{rec['severity']} [{rec['rule']}]{marker} {rec['message']}"
-        ),
-    )
-
-
-def build_yanccrash_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="yanccrash",
-        description="Crash-consistency analysis for the commit/publication "
-        "surfaces: a static persistence-effect pass (publish-before-data, "
-        "non-atomic-publish, commit-outside-chain, unrecovered-staging) "
-        "plus, with --explore, a crash-point model checker that replays "
-        "every crash prefix of a workload's durable-op trace.",
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src", "examples"], help="files or directories to analyze"
-    )
-    parser.add_argument("--json", action="store_true", help="emit findings as JSON")
-    parser.add_argument("--baseline", help="JSON findings file; only findings not in it fail the run")
-    parser.add_argument("--out", help="write the findings JSON to this file as well")
-    parser.add_argument(
-        "--explore",
-        metavar="WORKLOAD",
-        help="run this Python workload under the durable-op recorder and "
-        "model-check every crash prefix instead of analyzing sources; "
-        "positional arguments are passed to the workload",
-    )
-    return parser
-
-
-def _yanccrash_explore(args: argparse.Namespace) -> int:
-    from repro.analysis.yanccrash.explorer import explore
-    from repro.analysis.yanccrash.recorder import CrashRecorder
-
-    recorder = CrashRecorder().install()
-    saved_argv = sys.argv
-    sys.argv = [args.explore, *args.paths] if args.paths != ["src", "examples"] else [args.explore]
-    try:
-        runpy.run_path(args.explore, run_name="__main__")
-    except SystemExit as exc:
-        if exc.code not in (None, 0):
-            print(f"yanccrash: workload exited with {exc.code}", file=sys.stderr)
-            return ExitCode.INTERNAL
-    finally:
-        sys.argv = saved_argv
-        recorder.uninstall()
-    result = explore(recorder.ops)
-    recorder.reset()
-    records = [v.to_json() for v in result.violations]
-    code = report_findings(
-        "yanccrash",
-        records,
-        as_json=args.json,
-        baseline=args.baseline,
-        out=args.out,
-        key=lambda rec: (rec.get("kind", ""), rec.get("path", ""), rec.get("site", "")),
-        render=lambda rec, marker: (
-            f"yanccrash [{rec['kind']}]{marker} {rec['path']} "
-            f"@prefix={rec['prefix']}: {rec['detail']}"
-        ),
-    )
-    if not args.json:
-        print(f"yanccrash: {result.summary()}")
-    return code
-
-
-def yanccrash_main(argv: list[str]) -> int:
-    """yanccrash subcommand; returns the process exit code."""
-    args = build_yanccrash_parser().parse_args(argv)
-    if args.explore:
-        return _yanccrash_explore(args)
-    from repro.analysis.yanccrash.checker import analyze_yanccrash
-
-    findings = analyze_yanccrash(list(args.paths))
-    records = [f.__dict__ | {"severity": f.severity.label} for f in findings]
-    return report_findings(
-        "yanccrash",
-        records,
-        as_json=args.json,
-        baseline=args.baseline,
-        out=args.out,
-        key=_yancpath_key,  # same (rule, path, line) identity as yancpath
-        render=lambda rec, marker: (
-            f"{rec['path']}:{rec['line']}:{rec['col']}: "
-            f"{rec['severity']} [{rec['rule']}]{marker} {rec['message']}"
-        ),
-    )
-
-
-def build_yancsec_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="yancsec",
-        description="Capability & tenant-isolation analysis: a taint "
-        "lattice over tenant-reachable reads plus per-function credential "
-        "summaries judge every syscall site (tainted-path, root-ambient, "
-        "missing-acl, slice-escape, unauthenticated-rpc); with --monitor, "
-        "a runtime reference monitor on the Syscalls choke points runs a "
-        "workload and reports isolation violations and access tuples.",
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src", "examples"], help="files or directories to analyze"
-    )
-    parser.add_argument("--json", action="store_true", help="emit findings as JSON")
-    parser.add_argument("--baseline", help="JSON findings file; only findings not in it fail the run")
-    parser.add_argument("--out", help="write the findings JSON to this file as well")
-    parser.add_argument(
-        "--monitor",
-        metavar="WORKLOAD",
-        help="run this Python workload under the reference monitor instead "
-        "of analyzing sources; positional arguments are passed to the "
-        "workload",
-    )
-    return parser
-
-
-def _yancsec_monitor(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.analysis.yancsec.monitor import SecurityMonitor
-
-    monitor = SecurityMonitor()
-    monitor.install()
-    saved_argv = sys.argv
-    saved_env = os.environ.get("YANCSEC")
-    os.environ["YANCSEC"] = "1"  # workload code may key optional taps off it
-    sys.argv = [args.monitor, *args.paths] if args.paths != ["src", "examples"] else [args.monitor]
-    try:
-        runpy.run_path(args.monitor, run_name="__main__")
-    except SystemExit as exc:
-        if exc.code not in (None, 0):
-            print(f"yancsec: workload exited with {exc.code}", file=sys.stderr)
-            return ExitCode.INTERNAL
-    finally:
-        sys.argv = saved_argv
-        if saved_env is None:
-            del os.environ["YANCSEC"]
-        else:
-            os.environ["YANCSEC"] = saved_env
-        monitor.uninstall()
-    records = [{"kind": f.kind, "detail": f.detail} for f in monitor.check()]
-    accesses = sorted(monitor.accesses)
-    monitor.reset()
-    code = report_findings(
-        "yancsec",
-        records,
-        as_json=args.json,
-        baseline=args.baseline,
-        out=args.out,
-        key=lambda rec: (rec.get("kind", ""), rec.get("detail", "")),
-        render=lambda rec, marker: f"yancsec [{rec['kind']}]{marker} {rec['detail']}",
-    )
-    if not args.json:
-        uids = sorted({uid for uid, _, _ in accesses})
-        print(
-            f"yancsec: {len(accesses)} access tuple(s) across "
-            f"{len(uids)} uid(s) {uids}"
-        )
-        for uid, ns, prefix in accesses:
-            print(f"  uid={uid} ns={ns or '-'} {prefix}")
-    return code
-
-
-def yancsec_main(argv: list[str]) -> int:
-    """yancsec subcommand; returns the process exit code."""
-    args = build_yancsec_parser().parse_args(argv)
-    if args.monitor:
-        return _yancsec_monitor(args)
-    from repro.analysis.yancsec.checker import analyze_yancsec
-
-    findings = analyze_yancsec(list(args.paths))
-    records = [f.__dict__ | {"severity": f.severity.label} for f in findings]
-    return report_findings(
-        "yancsec",
-        records,
-        as_json=args.json,
-        baseline=args.baseline,
-        out=args.out,
-        key=_yancpath_key,  # same (rule, path, line) identity as yancpath
-        render=lambda rec, marker: (
-            f"{rec['path']}:{rec['line']}:{rec['col']}: "
-            f"{rec['severity']} [{rec['rule']}]{marker} {rec['message']}"
-        ),
-    )
 
 
 def lint_main(argv: list[str] | None) -> int:
@@ -478,20 +190,261 @@ def lint_main(argv: list[str] | None) -> int:
     return exit_code(findings)
 
 
+# -- yancrace ---------------------------------------------------------------------------
+
+def race_main(argv: list[str]) -> int:
+    """yancrace subcommand; returns the process exit code."""
+    parser = argparse.ArgumentParser(
+        prog="yancrace",
+        description="Run a Python workload under the happens-before race "
+        "detector and report unsynchronized accesses, torn commits, and "
+        "reads of uncommitted flow state.",
+    )
+    parser.add_argument("workload", help="Python script to execute (e.g. examples/quickstart.py)")
+    parser.add_argument("workload_args", nargs="*", help="arguments passed to the workload")
+    for flag, options in _REPORT_FLAGS:
+        parser.add_argument(flag, **options)
+    args = parser.parse_args(argv)
+    from repro.analysis.race import RaceDetector
+
+    detector = RaceDetector()
+    if not run_workload("yancrace", detector, args.workload, args.workload_args):
+        return ExitCode.INTERNAL
+    findings = [f.to_json() for f in detector.check()]
+    detector.reset()
+    return report_findings(
+        "yancrace",
+        findings,
+        as_json=args.json,
+        baseline=args.baseline,
+        out=args.out,
+        key=lambda rec: (rec.get("kind", ""), rec.get("path", ""), tuple(rec.get("sites", ()))),
+        render=lambda rec, marker: f"yancrace [{rec['kind']}]{marker} {rec['detail']}",
+    )
+
+
+# -- the path analyzers: yancpath, yancperf, yanccrash, yancsec -----------------------
+
+#: Positional default of every path analyzer.
+DEFAULT_PATHS = ("src", "examples")
+
+
+def _workload_args(args: argparse.Namespace) -> list[str]:
+    # A workload mode reuses the positionals as the workload's arguments.
+    return [] if args.paths == list(DEFAULT_PATHS) else list(args.paths)
+
+
+def _yancperf_modes(args: argparse.Namespace) -> int | None:
+    if args.report and args.calibrate:
+        return usage_error("yancperf", "--report and --calibrate are mutually exclusive")
+    if args.report:
+        from repro.analysis.yancperf.report import cost_report, render_report
+
+        rows = cost_report(list(args.paths))
+        if args.json:
+            print(json.dumps([row.to_json() for row in rows[: args.top]], indent=2))
+        else:
+            print(render_report(rows, top=args.top))
+        return ExitCode.CLEAN
+    if args.calibrate:
+        from repro.analysis.yancperf.calibrate import render_calibration, run_calibration
+
+        rows = run_calibration(list(args.paths))
+        if args.json:
+            print(json.dumps([row.to_json() for row in rows], indent=2))
+        else:
+            print(render_calibration(rows))
+        return ExitCode.CLEAN if all(row.ok for row in rows) else ExitCode.FINDINGS
+    return None
+
+
+def _yanccrash_explore(args: argparse.Namespace) -> int | None:
+    if not args.explore:
+        return None
+    from repro.analysis.yanccrash.explorer import explore
+    from repro.analysis.yanccrash.recorder import CrashRecorder
+
+    recorder = CrashRecorder()
+    if not run_workload("yanccrash", recorder, args.explore, _workload_args(args)):
+        return ExitCode.INTERNAL
+    result = explore(recorder.ops)
+    recorder.reset()
+    records = [v.to_json() for v in result.violations]
+    code = report_findings(
+        "yanccrash",
+        records,
+        as_json=args.json,
+        baseline=args.baseline,
+        out=args.out,
+        key=lambda rec: (rec.get("kind", ""), rec.get("path", ""), rec.get("site", "")),
+        render=lambda rec, marker: (
+            f"yanccrash [{rec['kind']}]{marker} {rec['path']} "
+            f"@prefix={rec['prefix']}: {rec['detail']}"
+        ),
+    )
+    if not args.json:
+        print(f"yanccrash: {result.summary()}")
+    return code
+
+
+def _yancsec_monitor(args: argparse.Namespace) -> int | None:
+    if not args.monitor:
+        return None
+    from repro.analysis.yancsec.monitor import SecurityMonitor
+
+    monitor = SecurityMonitor()
+    # Workload code may key optional taps off YANCSEC.
+    if not run_workload("yancsec", monitor, args.monitor, _workload_args(args), env={"YANCSEC": "1"}):
+        return ExitCode.INTERNAL
+    records = [{"kind": f.kind, "detail": f.detail} for f in monitor.check()]
+    accesses = sorted(monitor.accesses)
+    monitor.reset()
+    code = report_findings(
+        "yancsec",
+        records,
+        as_json=args.json,
+        baseline=args.baseline,
+        out=args.out,
+        key=lambda rec: (rec.get("kind", ""), rec.get("detail", "")),
+        render=lambda rec, marker: f"yancsec [{rec['kind']}]{marker} {rec['detail']}",
+    )
+    if not args.json:
+        uids = sorted({uid for uid, _, _ in accesses})
+        print(
+            f"yancsec: {len(accesses)} access tuple(s) across "
+            f"{len(uids)} uid(s) {uids}"
+        )
+        for uid, ns, prefix in accesses:
+            print(f"  uid={uid} ns={ns or '-'} {prefix}")
+    return code
+
+
+def _site_key(record: dict) -> tuple:
+    """A path analyzer finding's baseline identity: (rule, path, line)."""
+    return (record.get("rule", ""), record.get("path", ""), record.get("line", 0))
+
+
+def _render_site(record: dict, marker: str) -> str:
+    return (
+        f"{record['path']}:{record['line']}:{record['col']}: "
+        f"{record['severity']} [{record['rule']}]{marker} {record['message']}"
+    )
+
+
+def _no_mode(_args: argparse.Namespace) -> int | None:
+    return None
+
+
+def _workload_flag(flag: str, under: str) -> tuple[str, dict]:
+    help_text = (
+        f"run this Python workload under {under} instead of analyzing sources; "
+        "positional arguments are passed to the workload"
+    )
+    return (flag, dict(metavar="WORKLOAD", help=help_text))
+
+
+@dataclass(frozen=True)
+class Tool:
+    """One path analyzer: parser, static pass and optional run mode."""
+
+    description: str
+    #: ``"module:function"`` mapping paths to findings (imported on use).
+    analyze: str
+    #: Flags beyond ``--json``/``--baseline``/``--out``: (flag, options).
+    flags: tuple[tuple[str, dict], ...] = ()
+    #: Runs before the static pass; an exit code returned ends the run.
+    mode: Callable[[argparse.Namespace], int | None] = _no_mode
+
+
+#: Subcommand word (also the ``prog`` name) -> path analyzer.
+TOOLS: dict[str, Tool] = {
+    "yancpath": Tool(
+        description="Whole-program path & typestate analysis: every syscall "
+        "site's path is checked against a namespace grammar derived from "
+        "yancfs/schema.py, plus §3.4 commit-protocol and fd-lifecycle "
+        "typestate checks.",
+        analyze="repro.analysis.yancpath.checker:analyze_yancpath",
+    ),
+    "yancperf": Tool(
+        description="Interprocedural syscall-cost analysis: per-function "
+        "cost polynomials (loop-depth multipliers, callee rollup) plus "
+        "syscall-amplification findings (syscall-in-loop, path-reresolve, "
+        "linear-table-scan, chatty-rpc, readdir-then-stat).",
+        analyze="repro.analysis.yancperf.checker:analyze_yancperf",
+        flags=(
+            ("--report", dict(action="store_true", help="rank functions by estimated syscalls per call")),
+            ("--top", dict(type=int, default=30, metavar="N", help="rows shown by --report (default 30)")),
+            (
+                "--calibrate",
+                dict(action="store_true", help="boot the quickstart topology and check static bounds against live meter counts"),
+            ),
+        ),
+        mode=_yancperf_modes,
+    ),
+    "yanccrash": Tool(
+        description="Crash-consistency analysis for the commit/publication "
+        "surfaces: a static persistence-effect pass (publish-before-data, "
+        "non-atomic-publish, commit-outside-chain, unrecovered-staging) "
+        "plus, with --explore, a crash-point model checker that replays "
+        "every crash prefix of a workload's durable-op trace.",
+        analyze="repro.analysis.yanccrash.checker:analyze_yanccrash",
+        flags=(_workload_flag("--explore", "the durable-op recorder and model-check every crash prefix"),),
+        mode=_yanccrash_explore,
+    ),
+    "yancsec": Tool(
+        description="Capability & tenant-isolation analysis: a taint "
+        "lattice over tenant-reachable reads plus per-function credential "
+        "summaries judge every syscall site (tainted-path, root-ambient, "
+        "missing-acl, slice-escape, unauthenticated-rpc); with --monitor, "
+        "a runtime reference monitor on the Syscalls choke points runs a "
+        "workload and reports isolation violations and access tuples.",
+        analyze="repro.analysis.yancsec.checker:analyze_yancsec",
+        flags=(_workload_flag("--monitor", "the reference monitor"),),
+        mode=_yancsec_monitor,
+    ),
+}
+
+
+def build_tool_parser(prog: str) -> argparse.ArgumentParser:
+    """The parser of the path analyzer ``prog``."""
+    tool = TOOLS[prog]
+    parser = argparse.ArgumentParser(prog=prog, description=tool.description)
+    parser.add_argument("paths", nargs="*", default=list(DEFAULT_PATHS), help="files or directories to analyze")
+    for flag, options in _REPORT_FLAGS + tool.flags:
+        parser.add_argument(flag, **options)
+    return parser
+
+
+def tool_main(prog: str, argv: list[str]) -> int:
+    """Run the path analyzer ``prog``; returns the process exit code."""
+    tool = TOOLS[prog]
+    args = build_tool_parser(prog).parse_args(argv)
+    code = tool.mode(args)
+    if code is not None:
+        return code
+    module, _, function = tool.analyze.partition(":")
+    findings = getattr(importlib.import_module(module), function)(list(args.paths))
+    records = [f.__dict__ | {"severity": f.severity.label} for f in findings]
+    return report_findings(
+        prog, records, as_json=args.json, baseline=args.baseline, out=args.out, key=_site_key, render=_render_site
+    )
+
+
+# -- dispatch -----------------------------------------------------------------------------
+
+#: Subcommand word -> its main; any other argv is yanclint's.
+SUBCOMMANDS: dict[str, Callable[[list[str]], int]] = {
+    "race": race_main,
+    **{prog: functools.partial(tool_main, prog) for prog in TOOLS},
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        if argv and argv[0] == "race":
-            return race_main(argv[1:])
-        if argv and argv[0] == "yancpath":
-            return yancpath_main(argv[1:])
-        if argv and argv[0] == "yancperf":
-            return yancperf_main(argv[1:])
-        if argv and argv[0] == "yanccrash":
-            return yanccrash_main(argv[1:])
-        if argv and argv[0] == "yancsec":
-            return yancsec_main(argv[1:])
+        if argv and argv[0] in SUBCOMMANDS:
+            return SUBCOMMANDS[argv[0]](argv[1:])
         return lint_main(argv)
     except SystemExit:
         raise  # argparse usage errors keep their exit code (2)
@@ -500,29 +453,20 @@ def main(argv: list[str] | None = None) -> int:
         return ExitCode.INTERNAL
 
 
-def race_entry() -> int:
-    """Console-script entry: ``yancrace workload.py [...]``."""
-    return main(["race", *sys.argv[1:]])
+def _entry(subcommand: str) -> Callable[[], int]:
+    """Console-script entry: ``<tool> [...]`` runs ``main([subcommand, ...])``."""
+
+    def entry() -> int:
+        return main([subcommand, *sys.argv[1:]])
+
+    return entry
 
 
-def yancpath_entry() -> int:
-    """Console-script entry: ``yancpath [paths...]``."""
-    return main(["yancpath", *sys.argv[1:]])
-
-
-def yancperf_entry() -> int:
-    """Console-script entry: ``yancperf [paths...]``."""
-    return main(["yancperf", *sys.argv[1:]])
-
-
-def yanccrash_entry() -> int:
-    """Console-script entry: ``yanccrash [paths...]``."""
-    return main(["yanccrash", *sys.argv[1:]])
-
-
-def yancsec_entry() -> int:
-    """Console-script entry: ``yancsec [paths...]``."""
-    return main(["yancsec", *sys.argv[1:]])
+race_entry = _entry("race")
+yancpath_entry = _entry("yancpath")
+yancperf_entry = _entry("yancperf")
+yanccrash_entry = _entry("yanccrash")
+yancsec_entry = _entry("yancsec")
 
 
 if __name__ == "__main__":

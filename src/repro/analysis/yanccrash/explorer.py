@@ -220,16 +220,6 @@ class ReplayTree:
                 continue
         return flow_dir + "/x"  # any direct child: flags spec writes below
 
-    def _op_fastpath_write(self, mount: str, switch: str, name: str, files: dict) -> str:
-        flow_dir = f"{mount}/switches/{switch}/flows/{name}"
-        for filename, content in files.items():
-            try:
-                # Same as _op_fastpath_create: replay, not authorship.
-                self.sc.write_text(f"{flow_dir}/{filename}", content)  # yanclint: disable=flow-no-commit
-            except FsError:
-                continue
-        return flow_dir + "/x"
-
     def _op_fastpath_commit(self, mount: str, switch: str, name: str) -> str:
         flow_dir = f"{mount}/switches/{switch}/flows/{name}"
         version = flow_version(self.sc, flow_dir)
@@ -418,10 +408,6 @@ def _check_spec_after_commit(ops: list[DurableOp], out: list[CrashViolation]) ->
         elif op.op == "fastpath-commit":
             mount, switch, name = op.args
             commits.append(f"{mount}/switches/{switch}/flows/{name}")
-        elif op.op == "fastpath-write":
-            mount, switch, name, files = op.args
-            flow_dir = f"{mount}/switches/{switch}/flows/{name}"
-            touched.extend((flow_dir, f) for f in files if _is_spec_file(f))
         elif op.op in ("rmdir", "unlink"):
             committed.discard(op.args[0])
             pending.pop(op.args[0], None)

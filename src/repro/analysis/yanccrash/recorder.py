@@ -106,9 +106,8 @@ class CrashRecorder(Subscriber):
                 "LibYanc.flush": Hook(self._open_window, self._close_window),
             }
         )
-        for op in ("create_flow", "commit_flow", "write_flow_files", "delete_flow"):
-            kind = "fastpath-" + op.split("_")[0]
-            hooks[f"LibYanc.{op}"] = Hook(exit=functools.partial(self._fastpath, kind))
+        for point, kind in (("stage_flow", "create"), ("_commit", "commit"), ("delete_flow", "delete")):
+            hooks[f"LibYanc.{point}"] = Hook(exit=functools.partial(self._fastpath, "fastpath-" + kind))
         return hooks
 
     def _opened(self, sc: Syscalls, args: tuple, fd: int | None, error: object, _token: None) -> None:
@@ -178,11 +177,8 @@ class CrashRecorder(Subscriber):
             return  # failed, or the store is not reachable through a recorded tree
         switch, name = args[:2]
         if op == "fastpath-create":
-            # A nested commit (commit=True) records separately via commit_flow.
-            match, actions, priority, idle_timeout, hard_timeout, _commit = args[2:]
+            match, actions, priority, idle_timeout, hard_timeout = args[2:]
             detail = (flow_spec_files(match, actions, priority=priority, idle_timeout=idle_timeout, hard_timeout=hard_timeout),)
-        elif op == "fastpath-write":
-            detail = (dict(args[2]),)
         else:
             detail = ()
         self.record(op, (mount, switch, name) + detail, id(ly.fs))

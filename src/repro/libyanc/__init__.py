@@ -4,9 +4,10 @@ The file interface pays per-access system calls; libyanc is "a set of
 network-centric library calls atop a shared memory system" providing
 
 * a fastpath for creating flow entries **atomically and without any
-  context switches** (:meth:`LibYanc.create_flow` touches the store
-  directly — in this reproduction, the same address space stands in for
-  the mapped shared-memory segment), and
+  context switches** (:meth:`LibYanc.stage_flow` builds a whole flow in
+  the store directly and :meth:`LibYanc.flush` commits every staged flow
+  — in this reproduction, the same address space stands in for the
+  mapped shared-memory segment), and
 * **zero-copy passing of bulk data** — packet-in buffers — among
   applications (:class:`ShmRing`).
 

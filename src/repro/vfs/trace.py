@@ -55,7 +55,7 @@ POINTS: dict[str, tuple[str, ...]] = {
         "inotify_init", "inotify_add_watch", "inotify_read", "epoll_create", "epoll_ctl", "epoll_wait",
     ),
     "repro.vfs.uring:IoUring": ("submit",),
-    "repro.libyanc.fastpath:LibYanc": ("create_flow", "commit_flow", "write_flow_files", "delete_flow", "flush"),
+    "repro.libyanc.fastpath:LibYanc": ("stage_flow", "_commit", "delete_flow", "flush"),
     "repro.vfs.inode:FileInode": ("set_content",),
     "repro.vfs.vfs:FileHandle": ("close",),
     "repro.vfs.notify:NotifyHub": ("emit_dirent",),

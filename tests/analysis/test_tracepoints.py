@@ -70,7 +70,7 @@ def _workload() -> None:
     client.create_flow("s1", "f1", Match(in_port=3), [Output(1)], priority=9)
     client.create_flows_batched("s1", [("f2", Match(in_port=4), [Output(2)])])
     fast = LibYanc(fs)
-    fast.create_flow("s1", "f3", Match(in_port=5), [Output(1)])
+    fast.stage_flow("s1", "f3", Match(in_port=5), [Output(1)])
     fast.stage_flow("s1", "f4", Match(in_port=6), [Output(2)], priority=7)
     fast.flush()
     # A committed flow's spec rewritten without a version increment.

@@ -5,7 +5,7 @@ import pytest
 from repro.dataplane import Match, Output, build_linear
 from repro.libyanc import LibYanc
 from repro.runtime import YancController
-from repro.vfs import EventMask, FileExists, FileNotFound
+from repro.vfs import EventMask, FileExists, InvalidArgument
 
 
 @pytest.fixture
@@ -15,9 +15,15 @@ def rig():
     return ctl, lib
 
 
+def _install(lib, switch, name, match, actions, **kwargs):
+    """Stage one flow and flush it: the fastpath's whole install."""
+    lib.stage_flow(switch, name, match, actions, **kwargs)
+    return lib.flush()
+
+
 def test_create_flow_writes_whole_directory(rig):
     ctl, lib = rig
-    lib.create_flow("sw1", "fast", Match(dl_type=0x800, tp_dst=443, nw_proto=6), [Output(2)], priority=9, idle_timeout=5)
+    _install(lib, "sw1", "fast", Match(dl_type=0x800, tp_dst=443, nw_proto=6), [Output(2)], priority=9, idle_timeout=5)
     yc = ctl.client()
     spec = yc.read_flow("sw1", "fast")
     assert spec.priority == 9
@@ -27,7 +33,7 @@ def test_create_flow_writes_whole_directory(rig):
 
 def test_fastpath_flow_reaches_hardware(rig):
     ctl, lib = rig
-    lib.create_flow("sw1", "fast", Match(dl_type=0x800), [Output(2)], priority=9)
+    _install(lib, "sw1", "fast", Match(dl_type=0x800), [Output(2)], priority=9)
     ctl.run(0.2)
     assert len(ctl.net.switches["sw1"].table) == 1
 
@@ -36,7 +42,7 @@ def test_fastpath_costs_zero_syscalls(rig):
     ctl, lib = rig
     meter_counters = ctl.host.root_sc.meter.counters
     before = meter_counters.get("syscall.total")
-    lib.create_flow("sw1", "fast", Match(dl_type=0x800), [Output(2)])
+    _install(lib, "sw1", "fast", Match(dl_type=0x800), [Output(2)])
     assert meter_counters.get("syscall.total") == before
     assert lib.counters.get("libyanc.op") > 0
 
@@ -60,36 +66,36 @@ def test_fastpath_emits_same_events_as_file_path(rig):
     sc = ctl.host.root_sc
     ino = sc.inotify_init()
     sc.inotify_add_watch(ino, "/net/switches/sw1/flows", EventMask.IN_CREATE)
-    lib.create_flow("sw1", "fast", Match(dl_type=0x800), [Output(2)])
+    _install(lib, "sw1", "fast", Match(dl_type=0x800), [Output(2)])
     assert [e.name for e in sc.inotify_read(ino)] == ["fast"]
 
 
 def test_fastpath_validation_still_applies(rig):
     _ctl, lib = rig
-    from repro.vfs import InvalidArgument
-
     with pytest.raises(InvalidArgument):
-        lib.create_flow("sw1", "bad", Match(dl_type=0x800), [Output(2)], priority=99999)
+        lib.stage_flow("sw1", "bad", Match(dl_type=0x800), [Output(2)], priority=99999)
 
 
 def test_duplicate_flow_rejected(rig):
     _ctl, lib = rig
-    lib.create_flow("sw1", "f", Match(), [Output(1)])
+    _install(lib, "sw1", "f", Match(), [Output(1)])
     with pytest.raises(FileExists):
-        lib.create_flow("sw1", "f", Match(), [Output(1)])
+        lib.stage_flow("sw1", "f", Match(), [Output(1)])
 
 
 def test_commit_increments_version(rig):
     ctl, lib = rig
-    lib.create_flow("sw1", "f", Match(), [Output(1)], commit=False)
-    assert lib.commit_flow("sw1", "f") == 1
-    assert lib.commit_flow("sw1", "f") == 2
-    assert ctl.client().read_flow("sw1", "f").version == 2
+    lib.stage_flow("sw1", "f", Match(), [Output(1)])
+    assert ctl.client().read_flow("sw1", "f").version == 0
+    assert lib.flush() == [("sw1", "f", 1)]
+    assert ctl.client().read_flow("sw1", "f").version == 1
+    assert lib.flush() == []  # nothing staged: no second visibility point
+    assert ctl.client().read_flow("sw1", "f").version == 1
 
 
 def test_delete_flow_removes_from_tree_and_hw(rig):
     ctl, lib = rig
-    lib.create_flow("sw1", "f", Match(dl_type=0x800), [Output(2)])
+    _install(lib, "sw1", "f", Match(dl_type=0x800), [Output(2)])
     ctl.run(0.2)
     lib.delete_flow("sw1", "f")
     ctl.run(0.2)
@@ -97,30 +103,19 @@ def test_delete_flow_removes_from_tree_and_hw(rig):
     assert len(ctl.net.switches["sw1"].table) == 0
 
 
-def test_bulk_create(rig):
+def test_flush_installs_a_staged_batch(rig):
     ctl, lib = rig
-    entries = [(f"bulk{i}", Match(dl_vlan=i), [Output(1)]) for i in range(10)]
-    assert lib.bulk_create("sw1", entries, priority=3) == 10
+    for i in range(10):
+        lib.stage_flow("sw1", f"bulk{i}", Match(dl_vlan=i), [Output(1)], priority=3)
+    assert len(lib.flush()) == 10
     ctl.run(0.3)
     assert len(ctl.net.switches["sw1"].table) == 10
 
 
 def test_flow_counters_readable(rig):
-    _ctl, lib = rig
-    lib.create_flow("sw1", "f", Match(), [Output(1)])
-    assert lib.flow_counters("sw1", "f") == {"packet_count": 0, "byte_count": 0}
-
-
-def test_read_attribute(rig):
-    _ctl, lib = rig
-    lib.create_flow("sw1", "f", Match(tp_dst=80, nw_proto=6, dl_type=0x800), [Output(1)], priority=8)
-    assert lib.read_attribute("sw1", "f", "priority") == "8"
-    assert lib.read_attribute("sw1", "f", "match.tp_dst") == "80"
-
-
-def test_list_switches(rig):
-    _ctl, lib = rig
-    assert lib.list_switches() == ["sw1", "sw2"]
+    ctl, lib = rig
+    _install(lib, "sw1", "f", Match(), [Output(1)])
+    assert ctl.client().flow_counters("sw1", "f") == {"packet_count": 0, "byte_count": 0}
 
 
 # -- bugfix regressions (fastpath v2) --------------------------------------------------
@@ -137,7 +132,7 @@ def test_delete_flow_events_match_file_path_rm_r(rig):
     ctl, lib = rig
     sc = ctl.host.root_sc
     yc = ctl.client()
-    lib.create_flow("sw1", "f", Match(dl_type=0x800), [Output(2)])
+    _install(lib, "sw1", "f", Match(dl_type=0x800), [Output(2)])
     yc.create_flow("sw2", "f", Match(dl_type=0x800), [Output(2)])
     mask = EventMask.IN_DELETE | EventMask.IN_DELETE_SELF
     streams = {}
@@ -168,32 +163,30 @@ def test_create_and_modify_events_match_file_path(rig):
         ino = sc.inotify_init()
         sc.inotify_add_watch(ino, f"/net/switches/{switch}/flows", EventMask.IN_CREATE)
         create_inos[switch] = ino
-    lib.create_flow("sw1", "f", Match(dl_type=0x800, tp_dst=80, nw_proto=6), [Output(2)], priority=7)
-    yc.create_flow("sw2", "f", Match(dl_type=0x800, tp_dst=80, nw_proto=6), [Output(2)], priority=7)
+    lib.stage_flow("sw1", "f", Match(dl_type=0x800, tp_dst=80, nw_proto=6), [Output(2)], priority=7)
+    yc.create_flow("sw2", "f", Match(dl_type=0x800, tp_dst=80, nw_proto=6), [Output(2)], priority=7, commit=False)
     fast = [(int(e.mask), e.name) for e in sc.inotify_read(create_inos["sw1"])]
     file_path = [(int(e.mask), e.name) for e in sc.inotify_read(create_inos["sw2"])]
     assert fast == file_path
-    assert yc.read_flow("sw1", "f") == yc.read_flow("sw2", "f")
     modify_inos = {}
     for switch in ("sw1", "sw2"):
         ino = sc.inotify_init()
         sc.inotify_add_watch(ino, f"/net/switches/{switch}/flows/f", EventMask.IN_MODIFY)
         modify_inos[switch] = ino
-    lib.commit_flow("sw1", "f")
+    lib.flush()
     yc.commit_flow("sw2", "f")
     fast = [(int(e.mask), e.name) for e in sc.inotify_read(modify_inos["sw1"])]
     file_path = [(int(e.mask), e.name) for e in sc.inotify_read(modify_inos["sw2"])]
     assert fast == file_path == [(int(EventMask.IN_MODIFY), "version")]
+    assert yc.read_flow("sw1", "f") == yc.read_flow("sw2", "f")
 
 
 def test_set_validated_content_keeps_rollback_point(rig):
-    """Regression: create_flow used to poke AttributeFile._last_valid by
+    """Regression: the fastpath used to poke AttributeFile._last_valid by
     hand; the public mutator must validate first and record the new
     rollback point only on success."""
-    from repro.vfs import InvalidArgument
-
     _ctl, lib = rig
-    lib.create_flow("sw1", "f", Match(), [Output(1)], priority=5)
+    lib.stage_flow("sw1", "f", Match(), [Output(1)], priority=5)
     attr = lib._flow("sw1", "f").lookup("priority")
     attr.set_validated_content("7")
     assert attr.read_all() == b"7"
@@ -202,14 +195,15 @@ def test_set_validated_content_keeps_rollback_point(rig):
         attr.set_validated_content("99999")
     assert attr.read_all() == b"7"
     assert attr._last_valid == b"7"
-    lib.commit_flow("sw1", "f")  # make the hand-edited spec §3.4-visible
+    lib.flush()  # make the hand-edited spec §3.4-visible
 
 
-def test_bulk_create_plumbs_timeouts(rig):
-    """Regression: bulk_create silently dropped idle/hard timeouts."""
+def test_stage_flow_plumbs_timeouts(rig):
+    """Regression: batched installs silently dropped idle/hard timeouts."""
     ctl, lib = rig
-    entries = [(f"b{i}", Match(dl_vlan=i), [Output(1)]) for i in range(3)]
-    assert lib.bulk_create("sw1", entries, priority=4, idle_timeout=5, hard_timeout=9) == 3
+    for i in range(3):
+        lib.stage_flow("sw1", f"b{i}", Match(dl_vlan=i), [Output(1)], priority=4, idle_timeout=5, hard_timeout=9)
+    assert len(lib.flush()) == 3
     for i in range(3):
         spec = ctl.client().read_flow("sw1", f"b{i}")
         assert spec.priority == 4
@@ -218,39 +212,62 @@ def test_bulk_create_plumbs_timeouts(rig):
         assert spec.version == 1
 
 
-def test_bulk_create_commits_after_all_specs_land(rig, monkeypatch):
-    """Regression: bulk_create used to commit per entry, interleaving
+def test_flush_commits_after_all_specs_land(rig, monkeypatch):
+    """Regression: batched installs used to commit per entry, interleaving
     visibility points with later entries' spec writes."""
     _ctl, lib = rig
     order = []
-    orig_create, orig_commit = LibYanc.create_flow, LibYanc.commit_flow
+    orig_stage, orig_commit = LibYanc.stage_flow, LibYanc._commit
 
-    def spy_create(self, switch, name, *args, **kwargs):
-        order.append(("create", name))
-        return orig_create(self, switch, name, *args, **kwargs)
+    def spy_stage(self, switch, name, *args, **kwargs):
+        order.append(("stage", name))
+        return orig_stage(self, switch, name, *args, **kwargs)
 
     def spy_commit(self, switch, name):
         order.append(("commit", name))
         return orig_commit(self, switch, name)
 
-    monkeypatch.setattr(LibYanc, "create_flow", spy_create)
-    monkeypatch.setattr(LibYanc, "commit_flow", spy_commit)
-    entries = [(f"b{i}", Match(dl_vlan=i), [Output(1)]) for i in range(3)]
-    lib.bulk_create("sw1", entries)
-    creates = [i for i, (kind, _n) in enumerate(order) if kind == "create"]
+    monkeypatch.setattr(LibYanc, "stage_flow", spy_stage)
+    monkeypatch.setattr(LibYanc, "_commit", spy_commit)
+    for i in range(3):
+        lib.stage_flow("sw1", f"b{i}", Match(dl_vlan=i), [Output(1)])
+    lib.flush()
+    stages = [i for i, (kind, _n) in enumerate(order) if kind == "stage"]
     commits = [i for i, (kind, _n) in enumerate(order) if kind == "commit"]
-    assert commits and max(creates) < min(commits)
+    assert commits and max(stages) < min(commits)
     assert [n for kind, n in order if kind == "commit"] == ["b0", "b1", "b2"]
 
 
-def test_bulk_create_uncommitted_stays_staged(rig):
+def test_staged_batch_waits_for_flush(rig):
     ctl, lib = rig
-    entries = [(f"b{i}", Match(dl_vlan=i), [Output(1)]) for i in range(2)]
-    lib.bulk_create("sw1", entries, commit=False)
+    for i in range(2):
+        lib.stage_flow("sw1", f"b{i}", Match(dl_vlan=i), [Output(1)])
     assert lib.dirty_flows == [("sw1", "b0"), ("sw1", "b1")]
     assert ctl.client().read_flow("sw1", "b0").version == 0
     assert lib.flush() == [("sw1", "b0", 1), ("sw1", "b1", 1)]
     assert lib.dirty_flows == []
+
+
+def test_stage_flow_is_all_or_nothing(rig):
+    """A stage the validator rejects leaves nothing behind.
+
+    Regression: the flow directory used to be attached before its spec
+    files were validated, so a rejected stage left a half-built version-0
+    directory (watchers saw IN_CREATE) and a retry under the same name
+    failed with EEXIST.
+    """
+    ctl, lib = rig
+    sc = ctl.host.root_sc
+    ino = sc.inotify_init()
+    sc.inotify_add_watch(ino, "/net/switches/sw1/flows", EventMask.IN_CREATE)
+    with pytest.raises(InvalidArgument):
+        lib.stage_flow("sw1", "f", Match(dl_vlan=3), [Output(1)], priority=70000)
+    assert not sc.exists("/net/switches/sw1/flows/f")
+    assert sc.inotify_read(ino) == []
+    assert lib.dirty_flows == []
+    lib.stage_flow("sw1", "f", Match(dl_vlan=3), [Output(1)], priority=7)
+    assert lib.flush() == [("sw1", "f", 1)]
+    assert ctl.client().read_flow("sw1", "f").priority == 7
 
 
 # -- write-behind commits --------------------------------------------------------------
@@ -273,109 +290,3 @@ def test_flush_skips_flows_deleted_since_staging(rig):
     lib.stage_flow("sw1", "gone", Match(), [Output(1)])
     lib.delete_flow("sw1", "gone")
     assert lib.flush() == []
-
-
-def test_direct_commit_clears_the_dirty_mark(rig):
-    _ctl, lib = rig
-    lib.stage_flow("sw1", "w", Match(), [Output(1)])
-    lib.commit_flow("sw1", "w")
-    assert lib.dirty_flows == []
-    assert lib.flush() == []
-
-
-# -- vectored directory I/O ------------------------------------------------------------
-
-
-def test_read_flow_dir_returns_every_attribute(rig):
-    _ctl, lib = rig
-    lib.create_flow("sw1", "f", Match(dl_type=0x800, tp_dst=443, nw_proto=6), [Output(2)], priority=9)
-    files = lib.read_flow_dir("sw1", "f")
-    assert files["priority"] == "9"
-    assert files["match.tp_dst"] == "443"
-    assert files["version"] == "1"
-    assert "counters" not in files
-
-
-def test_read_flows_returns_the_whole_table(rig):
-    _ctl, lib = rig
-    lib.create_flow("sw1", "a", Match(dl_vlan=1), [Output(1)])
-    lib.create_flow("sw1", "b", Match(dl_vlan=2), [Output(2)])
-    table = lib.read_flows("sw1")
-    assert sorted(table) == ["a", "b"]
-    assert table["b"]["match.dl_vlan"] == "2"
-
-
-def test_write_flow_files_vectored_and_staged(rig):
-    ctl, lib = rig
-    lib.create_flow("sw1", "f", Match(), [Output(1)], priority=5)
-    lib.write_flow_files("sw1", "f", {"priority": "6", "cookie": "12"})
-    assert lib.read_attribute("sw1", "f", "priority") == "6"
-    assert lib.read_attribute("sw1", "f", "cookie") == "12"
-    assert ctl.client().read_flow("sw1", "f").version == 1  # not yet visible
-    assert lib.dirty_flows == [("sw1", "f")]
-    lib.flush()
-    assert ctl.client().read_flow("sw1", "f").version == 2
-
-
-def test_write_flow_files_is_all_or_nothing(rig):
-    from repro.vfs import InvalidArgument
-
-    _ctl, lib = rig
-    lib.create_flow("sw1", "f", Match(), [Output(1)], priority=5)
-    with pytest.raises(InvalidArgument):
-        lib.write_flow_files("sw1", "f", {"cookie": "1", "priority": "99999"})
-    assert lib.read_attribute("sw1", "f", "priority") == "5"
-    with pytest.raises(FileNotFound):
-        lib.read_attribute("sw1", "f", "cookie")  # first write rolled back too
-
-
-def test_write_flow_files_rejects_version(rig):
-    _ctl, lib = rig
-    lib.create_flow("sw1", "f", Match(), [Output(1)])
-    with pytest.raises(FileExists):
-        lib.write_flow_files("sw1", "f", {"version": "9"})
-
-
-# -- zero-copy packet rings ------------------------------------------------------------
-
-
-def test_push_packet_in_fans_out_references(rig):
-    _ctl, lib = rig
-    r1 = lib.packet_in_ring("sw1", "app1")
-    r2 = lib.packet_in_ring("sw1", "app2")
-    other = lib.packet_in_ring("sw2", "app1")
-    payload = bytearray(b"frame")
-    assert lib.push_packet_in("sw1", payload) == 2
-    v1, v2 = r1.get(), r2.get()
-    assert v1.obj is payload and v2.obj is payload  # same buffer, no copies
-    assert len(other) == 0
-    assert lib.counters.get("bytes.copied") == 0
-
-
-def test_packet_in_ring_is_stable_per_subscriber(rig):
-    _ctl, lib = rig
-    assert lib.packet_in_ring("sw1", "app") is lib.packet_in_ring("sw1", "app")
-    lib.drop_packet_in_ring("sw1", "app")
-    lib.packet_in_ring("sw1", "app").put(b"x")
-    assert lib.push_packet_in("sw1", b"y") == 1
-
-
-def test_full_packet_ring_drops(rig):
-    _ctl, lib = rig
-    ring = lib.packet_in_ring("sw1", "app", capacity=1)
-    assert lib.push_packet_in("sw1", b"a") == 1
-    assert lib.push_packet_in("sw1", b"b") == 0  # full: dropped, counted
-    assert ring.dropped == 1
-    assert lib.counters.get("shm.dropped") == 1
-
-
-def test_packet_out_ring_round_trip(rig):
-    _ctl, lib = rig
-    assert lib.push_packet_out("sw1", b"out") is True
-    assert bytes(lib.packet_out_ring("sw1").get()) == b"out"
-
-
-def test_packet_ring_requires_existing_switch(rig):
-    _ctl, lib = rig
-    with pytest.raises(FileNotFound):
-        lib.packet_in_ring("nope", "app")
